@@ -2,7 +2,9 @@ package stream
 
 import (
 	"encoding/json"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"madave/internal/corpus"
@@ -99,11 +101,14 @@ const (
 
 // Agg is the streaming aggregate: every study statistic the service reports,
 // folded record by record with commutative, integer-exact operations, plus
-// the done-set that recovery consults. Memory is flat in stream length —
-// bounded by distinct ad hashes, not by visits.
+// the done-set that recovery consults. Its state is O(gaps + distinct ad
+// hashes): the done-set is a list of merged seq ranges (one range for a
+// healthy stream), so memory and checkpoint cost do not grow with visits.
 type Agg struct {
-	mu   sync.Mutex
-	done map[int64]struct{}
+	mu sync.Mutex
+	// done holds the folded seqs as sorted, disjoint, non-adjacent ranges —
+	// the checkpoint form itself. Their total width is always visits.
+	done []seqRange
 
 	visits, pageErrors, frames, adFrames, nonAd int
 	sandboxed, degraded                         int
@@ -113,7 +118,16 @@ type Agg struct {
 	networks   stats.Counter
 	malNets    stats.Counter // serving network → non-clean ad count
 
-	uniqueAds map[string]int // hash → impressions seen
+	// Unique ads live in two tiers so a checkpoint never re-sorts them all:
+	// ads holds every hash seen up to the last checkpoint, sorted, with its
+	// impression count; fresh holds hashes first seen since then. The
+	// checkpoint sorts fresh alone and merges it into ads.
+	ads   []adCount
+	fresh map[string]int
+	// escHashes counts distinct hashes that JSON must escape; while it is
+	// zero the checkpoint encoder copies hashes without scanning them.
+	escHashes int
+
 	chain     stats.IntMoments
 	chainHist stats.IntHist
 	dayAds    stats.IntHist
@@ -130,7 +144,7 @@ type Agg struct {
 
 // NewAgg returns an empty aggregate.
 func NewAgg() *Agg {
-	return &Agg{done: make(map[int64]struct{}), uniqueAds: make(map[string]int)}
+	return &Agg{fresh: make(map[string]int)}
 }
 
 // Fold merges one record in. It returns false (and changes nothing) when the
@@ -139,10 +153,9 @@ func NewAgg() *Agg {
 func (a *Agg) Fold(r VisitRecord) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if _, dup := a.done[r.Seq]; dup {
+	if !a.markDone(r.Seq) {
 		return false
 	}
-	a.done[r.Seq] = struct{}{}
 	a.visits++
 	if r.ErrCause != "" {
 		a.pageErrors++
@@ -158,7 +171,7 @@ func (a *Agg) Fold(r VisitRecord) bool {
 		if ad.Sandboxed {
 			a.sandboxed++
 		}
-		a.uniqueAds[ad.Hash]++
+		a.countAd(ad.Hash)
 		a.categories.Add(ad.Category)
 		if ad.Network != "" {
 			a.networks.Add(ad.Network)
@@ -182,6 +195,53 @@ func (a *Agg) Fold(r VisitRecord) bool {
 	return true
 }
 
+// doneIndex returns the index of the first done range starting above seq.
+func (a *Agg) doneIndex(seq int64) int {
+	return sort.Search(len(a.done), func(i int) bool { return a.done[i].Lo > seq })
+}
+
+// markDone adds seq to the done-set, merging it into its neighbouring
+// ranges; it reports false when seq was already there.
+func (a *Agg) markDone(seq int64) bool {
+	i := a.doneIndex(seq)
+	if i > 0 && a.done[i-1].Hi >= seq {
+		return false
+	}
+	// done[i-1].Hi < seq < done[i].Lo, so neither ±1 below can overflow.
+	left := i > 0 && a.done[i-1].Hi+1 == seq
+	right := i < len(a.done) && a.done[i].Lo-1 == seq
+	switch {
+	case left && right:
+		a.done[i-1].Hi = a.done[i].Hi
+		a.done = slices.Delete(a.done, i, i+1)
+	case left:
+		a.done[i-1].Hi = seq
+	case right:
+		a.done[i].Lo = seq
+	default:
+		a.done = slices.Insert(a.done, i, seqRange{Lo: seq, Hi: seq})
+	}
+	return true
+}
+
+// countAd records one impression of hash h.
+func (a *Agg) countAd(h string) {
+	if i, ok := searchAds(a.ads, h); ok {
+		a.ads[i].N++
+		return
+	}
+	n := a.fresh[h]
+	if n == 0 && !jsonPlain(h) {
+		a.escHashes++
+	}
+	a.fresh[h] = n + 1
+}
+
+// searchAds binary-searches the sorted ad table for h.
+func searchAds(ads []adCount, h string) (int, bool) {
+	return slices.BinarySearchFunc(ads, h, func(ac adCount, h string) int { return strings.Compare(ac.Hash, h) })
+}
+
 // MalNetworks returns the running per-network malvertising table: for each
 // serving ad network, how many non-clean ads it has served so far, sorted by
 // count. This is the live view /statusz renders; it never enters the
@@ -196,15 +256,15 @@ func (a *Agg) MalNetworks() []stats.KV {
 func (a *Agg) Done(seq int64) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	_, ok := a.done[seq]
-	return ok
+	i := a.doneIndex(seq)
+	return i > 0 && a.done[i-1].Hi >= seq
 }
 
 // DoneCount returns how many visits have been folded.
 func (a *Agg) DoneCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.done)
+	return a.visits
 }
 
 // StreamSummary is the deterministic study summary: every field derives from
@@ -257,7 +317,7 @@ func (a *Agg) Summary() StreamSummary {
 		NonAdFrames:   a.nonAd,
 		SandboxedAds:  a.sandboxed,
 		DegradedPages: a.degraded,
-		UniqueAds:     len(a.uniqueAds),
+		UniqueAds:     len(a.ads) + len(a.fresh),
 		Categories:    a.categories.Sorted(),
 		Networks:      a.networks.Sorted(),
 		ChainMean:     a.chain.Mean(),
@@ -265,9 +325,8 @@ func (a *Agg) Summary() StreamSummary {
 		ChainP90:      a.chainHist.Quantile(0.9),
 		ChainMax:      a.chainHist.Max(),
 	}
-	for _, n := range a.uniqueAds {
-		s.DupImpressions += n - 1
-	}
+	// Every ad frame is one impression of one unique hash.
+	s.DupImpressions = a.adFrames - s.UniqueAds
 	for _, kv := range s.Categories {
 		if kv.Key != string(oracle.CatClean) {
 			s.Malicious += kv.Count
@@ -313,166 +372,5 @@ func (a *Agg) GraphSummary() GraphSummary {
 		ChainP90:         a.graphChainHist.Quantile(0.9),
 		CrossOriginEdges: a.graphXOrigin,
 		Edges:            a.graphEdges,
-	}
-}
-
-// seqRange is an inclusive run of folded sequence numbers; the done-set
-// checkpoints as merged ranges (a healthy stream is one range, so the
-// checkpoint stays O(gaps), not O(visits)).
-type seqRange struct {
-	Lo int64 `json:"lo"`
-	Hi int64 `json:"hi"`
-}
-
-// adCount pairs an ad hash with its impression count for checkpointing.
-type adCount struct {
-	Hash string `json:"h"`
-	N    int    `json:"n"`
-}
-
-// kvInt is one histogram bucket in checkpoint form.
-type kvInt struct {
-	V int `json:"v"`
-	N int `json:"n"`
-}
-
-// aggState is the checkpoint serialization of an Agg: every map rendered as
-// a sorted slice so the payload (and hence its content hash) is canonical.
-type aggState struct {
-	Done       []seqRange       `json:"done,omitempty"`
-	Visits     int              `json:"visits"`
-	PageErrors int              `json:"page_errors"`
-	Frames     int              `json:"frames"`
-	AdFrames   int              `json:"ad_frames"`
-	NonAd      int              `json:"nonad"`
-	Sandboxed  int              `json:"sandboxed"`
-	Degraded   int              `json:"degraded"`
-	ErrCauses  []stats.KV       `json:"err_causes,omitempty"`
-	Categories []stats.KV       `json:"categories,omitempty"`
-	Networks   []stats.KV       `json:"networks,omitempty"`
-	MalNets    []stats.KV       `json:"mal_nets,omitempty"`
-	UniqueAds  []adCount        `json:"unique_ads,omitempty"`
-	Chain      stats.IntMoments `json:"chain"`
-	ChainHist  []kvInt          `json:"chain_hist,omitempty"`
-	DayAds     []kvInt          `json:"day_ads,omitempty"`
-	// Flow-graph accumulators; all omitempty, so graph-off checkpoints are
-	// byte-identical to pre-graph ones (and old checkpoints restore cleanly).
-	GraphScanned   int     `json:"graph_scanned,omitempty"`
-	GraphFlagged   int     `json:"graph_flagged,omitempty"`
-	GraphXOrigin   int     `json:"graph_xorigin,omitempty"`
-	GraphEdges     int     `json:"graph_edges,omitempty"`
-	GraphChainHist []kvInt `json:"graph_chain_hist,omitempty"`
-}
-
-// checkpoint snapshots the aggregate in canonical form.
-func (a *Agg) checkpoint() aggState {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st := aggState{
-		Visits:     a.visits,
-		PageErrors: a.pageErrors,
-		Frames:     a.frames,
-		AdFrames:   a.adFrames,
-		NonAd:      a.nonAd,
-		Sandboxed:  a.sandboxed,
-		Degraded:   a.degraded,
-		ErrCauses:  a.errCauses.Sorted(),
-		Categories: a.categories.Sorted(),
-		Networks:   a.networks.Sorted(),
-		MalNets:    a.malNets.Sorted(),
-		Chain:      a.chain,
-	}
-	seqs := make([]int64, 0, len(a.done))
-	for s := range a.done {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, s := range seqs {
-		if n := len(st.Done); n > 0 && st.Done[n-1].Hi == s-1 {
-			st.Done[n-1].Hi = s
-			continue
-		}
-		st.Done = append(st.Done, seqRange{Lo: s, Hi: s})
-	}
-	for h, n := range a.uniqueAds {
-		st.UniqueAds = append(st.UniqueAds, adCount{Hash: h, N: n})
-	}
-	sort.Slice(st.UniqueAds, func(i, j int) bool { return st.UniqueAds[i].Hash < st.UniqueAds[j].Hash })
-	st.ChainHist = histBuckets(&a.chainHist)
-	st.DayAds = histBuckets(&a.dayAds)
-	st.GraphScanned = a.graphScanned
-	st.GraphFlagged = a.graphFlagged
-	st.GraphXOrigin = a.graphXOrigin
-	st.GraphEdges = a.graphEdges
-	st.GraphChainHist = histBuckets(&a.graphChainHist)
-	return st
-}
-
-func histBuckets(h *stats.IntHist) []kvInt {
-	if h.Total() == 0 {
-		return nil
-	}
-	var out []kvInt
-	for v, n := range h.Series() { // Series is value-indexed: canonical order
-		if n > 0 {
-			out = append(out, kvInt{V: v, N: n})
-		}
-	}
-	return out
-}
-
-// restore replaces the aggregate with a checkpoint's state.
-func (a *Agg) restore(st aggState) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.done = make(map[int64]struct{})
-	for _, r := range st.Done {
-		for s := r.Lo; s <= r.Hi; s++ {
-			a.done[s] = struct{}{}
-		}
-	}
-	a.visits = st.Visits
-	a.pageErrors = st.PageErrors
-	a.frames = st.Frames
-	a.adFrames = st.AdFrames
-	a.nonAd = st.NonAd
-	a.sandboxed = st.Sandboxed
-	a.degraded = st.Degraded
-	a.errCauses = stats.Counter{}
-	for _, kv := range st.ErrCauses {
-		a.errCauses.AddN(kv.Key, kv.Count)
-	}
-	a.categories = stats.Counter{}
-	for _, kv := range st.Categories {
-		a.categories.AddN(kv.Key, kv.Count)
-	}
-	a.networks = stats.Counter{}
-	for _, kv := range st.Networks {
-		a.networks.AddN(kv.Key, kv.Count)
-	}
-	a.malNets = stats.Counter{}
-	for _, kv := range st.MalNets {
-		a.malNets.AddN(kv.Key, kv.Count)
-	}
-	a.uniqueAds = make(map[string]int, len(st.UniqueAds))
-	for _, ac := range st.UniqueAds {
-		a.uniqueAds[ac.Hash] = ac.N
-	}
-	a.chain = st.Chain
-	a.chainHist = stats.IntHist{}
-	for _, b := range st.ChainHist {
-		a.chainHist.AddN(b.V, b.N)
-	}
-	a.dayAds = stats.IntHist{}
-	for _, b := range st.DayAds {
-		a.dayAds.AddN(b.V, b.N)
-	}
-	a.graphScanned = st.GraphScanned
-	a.graphFlagged = st.GraphFlagged
-	a.graphXOrigin = st.GraphXOrigin
-	a.graphEdges = st.GraphEdges
-	a.graphChainHist = stats.IntHist{}
-	for _, b := range st.GraphChainHist {
-		a.graphChainHist.AddN(b.V, b.N)
 	}
 }

@@ -257,12 +257,17 @@ func (s *Service) recover() error {
 			if err := json.Unmarshal(r.Payload, &st); err != nil {
 				return fmt.Errorf("stream: checkpoint payload: %w", err)
 			}
-			s.agg.restore(st)
+			if err := s.agg.restore(st); err != nil {
+				return err
+			}
 			s.recovered = int64(s.agg.DoneCount())
 		case RecordKind:
 			var rec VisitRecord
 			if err := json.Unmarshal(r.Payload, &rec); err != nil {
 				return fmt.Errorf("stream: visit payload: %w", err)
+			}
+			if rec.Seq < 0 {
+				return fmt.Errorf("stream: visit record has negative seq %d", rec.Seq)
 			}
 			if s.agg.Fold(rec) {
 				s.recovered++
@@ -551,9 +556,6 @@ func (s *Service) commitLoop(p *Pipeline, recCh <-chan VisitRecord, ops *Ops, do
 
 // compact rewrites the journal as one checkpoint record.
 func (s *Service) compact(c journal.Compactor) error {
-	payload, err := json.Marshal(s.agg.checkpoint())
-	if err != nil {
-		return err
-	}
-	return c.CompactTo([]journal.Record{{Kind: CheckpointKind, Payload: payload}})
+	st := s.agg.checkpoint()
+	return c.CompactTo([]journal.Record{{Kind: CheckpointKind, Payload: encodeAggState(&st)}})
 }
