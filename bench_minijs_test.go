@@ -109,9 +109,7 @@ func BenchmarkMinijsTreeWalk(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, src := range benchMinijsScripts {
-			in := minijs.New()
-			in.UseVM = false
-			if _, err := in.Run(src); err != nil {
+			if _, err := minijs.NewReference().Run(src); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -53,7 +53,6 @@ func main() {
 		refreshes = flag.Int("refreshes", 5, "page refreshes per visit")
 		workers   = flag.Int("workers", 8, "crawl parallelism")
 		chaos     = flag.Float64("chaos", 0, "injected network fault rate in [0,1] (0 = off); faults are seeded, so crawls stay reproducible")
-		interpJS  = flag.Bool("minijs-interp", false, "execute page scripts with the tree-walking interpreter instead of the bytecode VM (slower; identical results)")
 		cache     = flag.Bool("cache", false, "enable the oracle-side memoization caches in the assembled study (matches madstudy/adoracle -cache)")
 		graph     = flag.Bool("graph", false, "enable the flow-graph oracle in the assembled study (streaming mode journals its per-ad verdicts; base stats stay byte-identical)")
 
@@ -81,7 +80,6 @@ func main() {
 	cfg.Crawl.Days = *days
 	cfg.Crawl.Refreshes = *refreshes
 	cfg.Crawl.Parallelism = *workers
-	cfg.MinijsInterp = *interpJS
 	if *chaos > 0 {
 		prof := memnet.UniformProfile(*chaos)
 		cfg.Chaos = &prof

@@ -65,7 +65,6 @@ func main() {
 		mdOut     = flag.String("md", "", "write the full Markdown report to this file")
 		traceOut  = flag.String("trace", "", "capture all crawl HTTP traffic and write it (JSON lines) to this file")
 		chaos     = flag.Float64("chaos", 0, "injected network fault rate in [0,1] (0 = off); faults are seeded, so the study stays reproducible")
-		interpJS  = flag.Bool("minijs-interp", false, "execute page scripts with the tree-walking interpreter instead of the bytecode VM (slower; identical results)")
 		graph     = flag.Bool("graph", false, "enable the flow-graph oracle: structural per-page graphs with a fourth classifier component (additive; base stats stay byte-identical)")
 
 		cache        = flag.Bool("cache", false, "memoize honeyclient reports, blacklist verdicts, and AV scans (results stay byte-identical; repeated artefacts classify once)")
@@ -102,7 +101,6 @@ func main() {
 	cfg.Crawl.Refreshes = *refreshes
 	cfg.Crawl.Parallelism = *workers
 	cfg.OracleParallelism = *workers
-	cfg.MinijsInterp = *interpJS
 	cfg.GraphOracle = *graph
 	if *chaos > 0 {
 		prof := memnet.UniformProfile(*chaos)

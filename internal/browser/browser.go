@@ -252,9 +252,6 @@ type Browser struct {
 	// to a deterministic partial result instead of failing outright, and
 	// their syntax diagnostics land in Page.Errors.
 	TolerantJS bool
-	// TreeWalkJS disables the bytecode VM and executes ASTs directly —
-	// the escape hatch behind the -minijs-interp flag.
-	TreeWalkJS bool
 	// FollowNavigations controls whether script navigations are fetched
 	// (one GET, no rendering) to observe their outcome.
 	FollowNavigations bool

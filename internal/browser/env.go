@@ -25,7 +25,6 @@ func (b *Browser) runScripts(reqCtx context.Context, page *Page, sandboxed bool)
 	ctx := &scriptCtx{b: b, page: page, sandboxed: sandboxed, reqCtx: reqCtx}
 	interp := minijs.New()
 	interp.Budget = b.ScriptBudget
-	interp.UseVM = !b.TreeWalkJS
 	interp.Host = ctx
 	ctx.install(interp)
 

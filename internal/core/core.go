@@ -70,10 +70,6 @@ type Config struct {
 	// byte-identical to one with caches off — they only change how fast
 	// repeated artefacts classify.
 	Cache CacheConfig
-	// MinijsInterp forces the honeyclient's script engine back to the
-	// tree-walking interpreter (the -minijs-interp escape hatch); the
-	// default is the bytecode VM. Verdicts are identical either way.
-	MinijsInterp bool
 	// GraphOracle enables the flow-graph fourth oracle component: every
 	// honeyclient report carries a structural flowgraph.Summary and the
 	// oracle Result gains GraphScanned/GraphFindings. Strictly additive —
@@ -153,7 +149,6 @@ func NewStudy(cfg Config) (*Study, error) {
 	hc.Retry = cfg.AnalysisRetry
 	hc.Timeout = cfg.AnalysisTimeout
 	hc.Tel = cfg.Telemetry
-	hc.MinijsInterp = cfg.MinijsInterp
 	if cfg.Chaos != nil {
 		hc.Transport = chaosTransport(u, cfg.Seed, *cfg.Chaos, cfg.Telemetry)
 	}

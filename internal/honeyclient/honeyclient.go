@@ -148,11 +148,6 @@ type Honeyclient struct {
 	DisableHijackDetection    bool // top.location rewrites
 	DisableModel              bool // behavioural model
 
-	// MinijsInterp forces the tree-walking script engine instead of the
-	// bytecode VM — the -minijs-interp escape hatch. Verdicts are
-	// engine-independent (the differential fuzzer enforces it), so this
-	// only trades speed.
-	MinijsInterp bool
 	// TolerantJS runs page scripts through the error-recovering parser so
 	// broken creatives execute to a partial result instead of erroring
 	// out. New() enables it: real ad corpora are full of malformed
@@ -283,7 +278,6 @@ func (h *Honeyclient) newBrowser() (*browser.Browser, *netcap.Capture) {
 	h.codeOnce.Do(func() { h.code = minijs.NewCodeCache(0, h.Tel) })
 	b.CodeCache = h.code
 	b.TolerantJS = h.TolerantJS
-	b.TreeWalkJS = h.MinijsInterp
 	return b, cap
 }
 

@@ -203,8 +203,8 @@ type FuncLit struct {
 	// it, so eliding it otherwise is invisible.
 	UsesArguments bool
 	// code is the function body compiled to bytecode (see Program.code for
-	// the publication discipline). Nil when the program was never compiled;
-	// the tree-walker then executes Body directly.
+	// the publication discipline). Nil until the enclosing program is
+	// compiled; only the reference interpreter (NewReference) runs Body.
 	code *chunk
 }
 

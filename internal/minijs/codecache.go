@@ -26,9 +26,8 @@ import (
 // full simulated study many times over.
 const DefaultCodeCacheEntries = 1 << 12
 
-// cachedScript is one cache entry: either a compiled (or tree-walk
-// fallback) program plus any recovery diagnostics, or a deterministic
-// strict-mode syntax error.
+// cachedScript is one cache entry: either a compiled program plus any
+// recovery diagnostics, or a deterministic strict-mode syntax error.
 type cachedScript struct {
 	prog *Program
 	errs []*SyntaxError
@@ -41,7 +40,6 @@ type cachedScript struct {
 type CodeCache struct {
 	c        *cachex.Cache[string, *cachedScript]
 	compiles *telemetry.Counter
-	fallback *telemetry.Counter
 }
 
 // NewCodeCache builds a code cache with the given capacity (0 =
@@ -60,7 +58,6 @@ func NewCodeCache(capacity int, tel *telemetry.Set) *CodeCache {
 	}
 	if tel != nil {
 		cc.compiles = tel.Counter("minijs_compile_total")
-		cc.fallback = tel.Counter("minijs_compile_fallback_total")
 	}
 	return cc
 }
@@ -112,19 +109,11 @@ func (cc *CodeCache) compile(ctx context.Context, src string, tolerant bool) (*c
 	if cc.compiles != nil {
 		cc.compiles.Inc()
 	}
-	if cerr := CompileProgram(ctx, prog); cerr != nil {
-		if ctx != nil && ctx.Err() != nil {
-			// Deadline-truncated: the partial program must never be
-			// published. A plain error makes GetOrLoad deliver without
-			// storing, so a later caller retries with a live context.
-			return nil, cerr
-		}
-		// Deterministic compiler rejection (AST shape outside the bytecode
-		// subset): cache the uncompiled program; RunProgram falls back to
-		// the tree-walker, which handles everything the parser accepts.
-		if cc.fallback != nil {
-			cc.fallback.Inc()
-		}
+	if err := CompileProgram(ctx, prog); err != nil {
+		// Only cancellation stops a compile, and the truncated program must
+		// never be published. A plain error makes GetOrLoad deliver without
+		// storing, so a later caller retries with a live context.
+		return nil, err
 	}
 	return &cachedScript{prog: prog, errs: errs}, nil
 }

@@ -122,10 +122,9 @@ var unaryOpIdx = func() map[string]int32 {
 	return m
 }()
 
-// compileAbort carries an error out of the recursive compiler via panic;
-// CompileProgram recovers it. Used for context cancellation and for AST
-// shapes the compiler does not handle (the caller falls back to the
-// tree-walker).
+// compileAbort carries a context cancellation out of the recursive compiler
+// via panic; CompileProgram recovers it. Cancellation is the only way a
+// compile fails: the compiler handles every AST the parser produces.
 type compileAbort struct{ err error }
 
 // compileState is shared across the chunks of one CompileProgram call.
@@ -289,8 +288,12 @@ func (c *comp) constant(v Value) int32 {
 	return i
 }
 
-func (c *comp) abort(format string, args ...any) {
-	panic(compileAbort{fmt.Errorf(format, args...)})
+// unreachable panics on an AST shape the parser never produces (an unknown
+// node type, operator or assignment target). It is an internal invariant,
+// not an input error, so CompileProgram does not recover it;
+// TestParserOperatorsCompile and FuzzParseRecover hold the parser to it.
+func unreachable(format string, args ...any) {
+	panic(fmt.Sprintf("minijs: compiler invariant: "+format, args...))
 }
 
 // finish flushes trailing charges, patches label operands to PCs, and
@@ -606,7 +609,7 @@ func (c *comp) stmt(s Stmt, visible bool) {
 		c.compileTry(st)
 
 	default:
-		c.abort("minijs: cannot compile statement %T", s)
+		unreachable("cannot compile statement %T", s)
 	}
 }
 
@@ -830,14 +833,14 @@ func (c *comp) expr(e Expr) {
 		c.emit(opGetIndex, 0, 0, x.nodeLine())
 
 	default:
-		c.abort("minijs: cannot compile expression %T", e)
+		unreachable("cannot compile expression %T", e)
 	}
 }
 
 func (c *comp) binOp(op string) int32 {
 	i, ok := binaryOpIdx[op]
 	if !ok {
-		c.abort("minijs: cannot compile binary op %q", op)
+		unreachable("cannot compile binary op %q", op)
 	}
 	return i
 }
@@ -863,7 +866,7 @@ func (c *comp) compileUnary(x *UnaryExpr) {
 	}
 	i, ok := unaryOpIdx[x.Op]
 	if !ok {
-		c.abort("minijs: cannot compile unary op %q", x.Op)
+		unreachable("cannot compile unary op %q", x.Op)
 	}
 	c.expr(x.X)
 	c.emit(opUnary, i, 0, x.nodeLine())
@@ -903,7 +906,7 @@ func (c *comp) compileUpdate(x *UpdateExpr) {
 		c.expr(t.Index)
 		c.emit(opSetIndex, 0, 0, t.nodeLine())
 	default:
-		c.abort("minijs: cannot compile update target %T", x.X)
+		unreachable("cannot compile update target %T", x.X)
 	}
 }
 
@@ -927,7 +930,7 @@ func (c *comp) compileAssign(x *AssignExpr) {
 			c.expr(t.Index)
 			c.emit(opGetIndex, 0, 0, t.nodeLine())
 		default:
-			c.abort("minijs: cannot compile assignment target %T", x.Target)
+			unreachable("cannot compile assignment target %T", x.Target)
 		}
 		// Stack is [value, old]; applyBinary takes (old, value).
 		c.emit(opSwap, 0, 0, x.nodeLine())
@@ -945,7 +948,7 @@ func (c *comp) compileAssign(x *AssignExpr) {
 		c.expr(t.Index)
 		c.emit(opSetIndex, 0, 0, t.nodeLine())
 	default:
-		c.abort("minijs: cannot compile assignment target %T", x.Target)
+		unreachable("cannot compile assignment target %T", x.Target)
 	}
 }
 

@@ -95,3 +95,46 @@ func TestDisassemblyDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestParserOperatorsCompile holds the parser to the compiler's operator
+// tables: every operator the parser can put in a BinaryExpr, UnaryExpr or
+// compound AssignExpr must have an opcode operand, because the compiler
+// treats an unknown operator as an internal invariant violation.
+func TestParserOperatorsCompile(t *testing.T) {
+	for _, level := range binaryLevels {
+		for _, op := range level {
+			if _, ok := binaryOpIdx[op]; !ok {
+				t.Errorf("binary operator %q parses but is not in binaryOps", op)
+			}
+		}
+	}
+	tokens := append([]string(nil), puncts...)
+	for kw := range keywords {
+		tokens = append(tokens, kw)
+	}
+	unary := 0
+	for _, tok := range tokens {
+		if prog, err := Parse(tok + " a;"); err == nil {
+			if es, ok := prog.Body[0].(*ExprStmt); ok {
+				if u, ok := es.X.(*UnaryExpr); ok {
+					unary++
+					if _, ok := unaryOpIdx[u.Op]; !ok && u.Op != "delete" {
+						t.Errorf("unary operator %q parses but is not in unaryOps", u.Op)
+					}
+				}
+			}
+		}
+		if prog, err := Parse("a " + tok + " b;"); err == nil {
+			if es, ok := prog.Body[0].(*ExprStmt); ok {
+				if as, ok := es.X.(*AssignExpr); ok && as.Op != "=" {
+					if _, ok := binaryOpIdx[as.Op[:len(as.Op)-1]]; !ok {
+						t.Errorf("compound assignment %q parses but its operator is not in binaryOps", as.Op)
+					}
+				}
+			}
+		}
+	}
+	if unary != len(unaryOps)+1 {
+		t.Errorf("found %d unary operators in the token set, want %d (unaryOps plus delete)", unary, len(unaryOps)+1)
+	}
+}

@@ -15,12 +15,10 @@ import (
 	"madave/internal/fuzzutil"
 )
 
-// runEngineForFuzz executes prog on a fresh interpreter with the given
-// engine and returns (bounded result, error string, remaining budget, global
-// bindings snapshot).
-func runEngineForFuzz(prog *Program, useVM bool) (string, string, int, string) {
-	in := New()
-	in.UseVM = useVM
+// runEngineForFuzz executes prog on in, a fresh interpreter of the engine
+// under test, and returns (bounded result, error string, remaining budget,
+// global bindings snapshot).
+func runEngineForFuzz(in *Interp, prog *Program) (string, string, int, string) {
 	in.Budget = fuzzEvalBudget
 	in.MaxDepth = 64
 	v, err := in.RunProgram(prog)
@@ -75,8 +73,8 @@ func diffEngines(t *testing.T, src string) {
 	if cerr := CompileProgram(nil, vmProg); cerr != nil {
 		t.Fatalf("compile failed on valid program: %v\nsrc: %q", cerr, src)
 	}
-	tv, te, tb, tg := runEngineForFuzz(treeProg, false)
-	vv, ve, vb, vg := runEngineForFuzz(vmProg, true)
+	tv, te, tb, tg := runEngineForFuzz(NewReference(), treeProg)
+	vv, ve, vb, vg := runEngineForFuzz(New(), vmProg)
 	if tv != vv || te != ve {
 		t.Fatalf("engine divergence:\n tree = (%q, %q)\n   vm = (%q, %q)\nsrc: %q", tv, te, vv, ve, src)
 	}

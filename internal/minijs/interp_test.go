@@ -612,6 +612,12 @@ func TestDeleteAndInOperators(t *testing.T) {
 	}
 }
 
+// engines lists both interpreters for tests that pin a semantic on each.
+var engines = []struct {
+	name string
+	new  func() *Interp
+}{{"reference", NewReference}, {"vm", New}}
+
 // TestNegativeZeroSemantics pins the fuzz-found constant-pool bug: -0 == +0
 // in Go, so map-keyed interning collapsed the two into whichever the
 // compiler saw first ("-0A=0" assigned -0 to A on the VM, 0 on the
@@ -621,15 +627,14 @@ func TestNegativeZeroSemantics(t *testing.T) {
 	if got := ToString(Num(math.Copysign(0, -1))); got != "0" {
 		t.Fatalf("ToString(-0) = %q, want \"0\"", got)
 	}
-	for _, vm := range []bool{false, true} {
-		in := New()
-		in.UseVM = vm
+	for _, eng := range engines {
+		in := eng.new()
 		v, err := in.Run(`var z = -0; var p = 0; "" + (1 / z) + "|" + (1 / p) + "|" + z;`)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := ToString(v); got != "-Infinity|Infinity|0" {
-			t.Fatalf("UseVM=%v: got %q, want \"-Infinity|Infinity|0\"", vm, got)
+			t.Fatalf("%s: got %q, want \"-Infinity|Infinity|0\"", eng.name, got)
 		}
 	}
 }
@@ -640,16 +645,15 @@ func TestNegativeZeroSemantics(t *testing.T) {
 // still behave like JS NaN on both engines (self-inequal, contagious
 // through comparison, "NaN" when stringified).
 func TestNaNConstantSemantics(t *testing.T) {
-	for _, vm := range []bool{false, true} {
-		in := New()
-		in.UseVM = vm
+	for _, eng := range engines {
+		in := eng.new()
 		v, err := in.Run(`var a = NaN; var b = 0 / 0;
 			"" + (a == a) + "|" + (a == b) + "|" + (a != a) + "|" + a + "|" + (1 < NaN) + "|" + (NaN <= NaN);`)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := ToString(v), "false|false|true|NaN|false|false"; got != want {
-			t.Fatalf("UseVM=%v: got %q, want %q", vm, got, want)
+			t.Fatalf("%s: got %q, want %q", eng.name, got, want)
 		}
 	}
 }
@@ -661,9 +665,8 @@ func TestNaNConstantSemantics(t *testing.T) {
 // reference, the later `built + "X"` append would corrupt `built` after it
 // already compared equal to the interned literal.
 func TestStringInterningSemantics(t *testing.T) {
-	for _, vm := range []bool{false, true} {
-		in := New()
-		in.UseVM = vm
+	for _, eng := range engines {
+		in := eng.new()
 		v, err := in.Run(`var lit1 = "intern-me"; var lit2 = "intern-me";
 			var parts = ["in", "tern", "-", "me"];
 			var built = "";
@@ -674,7 +677,7 @@ func TestStringInterningSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got, want := ToString(v), "true|true|intern-me|intern-meX"; got != want {
-			t.Fatalf("UseVM=%v: got %q, want %q", vm, got, want)
+			t.Fatalf("%s: got %q, want %q", eng.name, got, want)
 		}
 	}
 }

@@ -1,5 +1,6 @@
-// Package minijs implements a lexer, parser, and tree-walking interpreter
-// for a JavaScript subset. It is the scripting engine of the emulated
+// Package minijs implements a lexer, parser, bytecode compiler and VM for a
+// JavaScript subset, plus the tree-walking reference interpreter the VM is
+// tested against. It is the scripting engine of the emulated
 // browser: ad creatives in the simulated web carry scripts in this dialect,
 // and the honeyclient (the Wepawet substitute) re-executes them in an
 // instrumented environment exactly like the paper's oracle executed real ad

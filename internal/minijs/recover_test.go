@@ -7,6 +7,7 @@ package minijs
 // JavaScript.
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -332,10 +333,14 @@ func FuzzParseRecover(f *testing.F) {
 				t.Fatalf("error %d differs: %q vs %q", i, errs[i].Error(), errs2[i].Error())
 			}
 		}
-		if CompileProgram(nil, prog) == nil && CompileProgram(nil, prog2) == nil {
-			if d1, d2 := Disassemble(prog), Disassemble(prog2); d1 != d2 {
-				t.Fatalf("recovered programs differ:\n%s\nvs\n%s", d1, d2)
+		// The compiler is total: every recovered program compiles.
+		for _, p := range []*Program{prog, prog2} {
+			if err := CompileProgram(context.Background(), p); err != nil {
+				t.Fatalf("recovered program does not compile: %v", err)
 			}
+		}
+		if d1, d2 := Disassemble(prog), Disassemble(prog2); d1 != d2 {
+			t.Fatalf("recovered programs differ:\n%s\nvs\n%s", d1, d2)
 		}
 		// The recovered program must execute (to completion, a throw, or
 		// budget exhaustion) deterministically.

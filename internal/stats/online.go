@@ -1,89 +1,5 @@
 package stats
 
-import "math"
-
-// Online is a single-pass (Welford) summary of a float stream: the streaming
-// service uses it to summarize operational series — queue depths, RSS
-// samples, latencies — without retaining observations, keeping memory flat
-// no matter how long the stream runs. The zero value is ready to use.
-//
-// Floating-point accumulation is order-sensitive in the last bits, so Online
-// is for operational reporting; deterministic study statistics use
-// IntMoments, whose integer accumulators fold identically in any order.
-type Online struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add folds one observation in.
-func (o *Online) Add(x float64) {
-	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// Merge folds another summary in (Chan's parallel-variance combination).
-func (o *Online) Merge(b Online) {
-	if b.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = b
-		return
-	}
-	n := o.n + b.n
-	d := b.mean - o.mean
-	o.m2 += b.m2 + d*d*float64(o.n)*float64(b.n)/float64(n)
-	o.mean += d * float64(b.n) / float64(n)
-	o.n = n
-	if b.min < o.min {
-		o.min = b.min
-	}
-	if b.max > o.max {
-		o.max = b.max
-	}
-}
-
-// Count returns how many observations have been folded in.
-func (o *Online) Count() int64 { return o.n }
-
-// Mean returns the running mean (0 when empty).
-func (o *Online) Mean() float64 { return o.mean }
-
-// Var returns the sample variance (0 with fewer than two observations).
-func (o *Online) Var() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Var()) }
-
-// Min returns the smallest observation (0 when empty).
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest observation (0 when empty).
-func (o *Online) Max() float64 { return o.max }
-
-// Summary materializes the stats.Summary view of the stream so far.
-func (o *Online) Summary() Summary {
-	return Summary{N: int(o.n), Mean: o.Mean(), StdDev: o.StdDev(), Min: o.min, Max: o.max}
-}
-
 // IntMoments accumulates exact integer moments of a small-integer stream
 // (chain lengths, frame counts). Every accumulator is integer arithmetic, so
 // folds commute exactly: any interleaving — including a journal replay after

@@ -5,42 +5,6 @@ import (
 	"testing"
 )
 
-func TestOnlineMatchesSummarize(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3.5}
-	var o Online
-	for _, x := range xs {
-		o.Add(x)
-	}
-	want := Summarize(xs)
-	got := o.Summary()
-	if got.N != want.N || got.Min != want.Min || got.Max != want.Max {
-		t.Fatalf("Online = %+v, want %+v", got, want)
-	}
-	if math.Abs(got.Mean-want.Mean) > 1e-12 || math.Abs(got.StdDev-want.StdDev) > 1e-12 {
-		t.Fatalf("Online moments = (%v, %v), want (%v, %v)", got.Mean, got.StdDev, want.Mean, want.StdDev)
-	}
-}
-
-func TestOnlineMergeEqualsSequential(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	var whole, a, b Online
-	for i, x := range xs {
-		whole.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.Count() != whole.Count() || a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Fatalf("merged = %+v, whole = %+v", a.Summary(), whole.Summary())
-	}
-	if math.Abs(a.Mean()-whole.Mean()) > 1e-12 || math.Abs(a.Var()-whole.Var()) > 1e-9 {
-		t.Fatalf("merged moments (%v, %v) != whole (%v, %v)", a.Mean(), a.Var(), whole.Mean(), whole.Var())
-	}
-}
-
 func TestIntMomentsFoldOrderIrrelevant(t *testing.T) {
 	vals := []int{2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5, 9}
 	var fwd, rev, merged IntMoments

@@ -11,7 +11,6 @@ package stats
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"math"
 )
 
 // RNG is a deterministic pseudo-random number generator based on the
@@ -91,20 +90,6 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the Marsaglia polar method.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
-	}
-}
-
 // Perm returns a pseudo-random permutation of the integers [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -117,14 +102,6 @@ func (r *RNG) Perm(n int) []int {
 
 // ShuffleInts shuffles s in place (Fisher-Yates).
 func (r *RNG) ShuffleInts(s []int) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// ShuffleStrings shuffles s in place (Fisher-Yates).
-func (r *RNG) ShuffleStrings(s []string) {
 	for i := len(s) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]
@@ -161,43 +138,4 @@ func (r *RNG) RandHex(n int) string {
 		b[i] = hexDigits[r.Intn(16)]
 	}
 	return string(b)
-}
-
-// Geometric returns a draw from a geometric distribution with success
-// probability p, i.e. the number of failures before the first success.
-// The result is capped at cap to keep simulation loops bounded.
-func (r *RNG) Geometric(p float64, cap int) int {
-	if p <= 0 {
-		return cap
-	}
-	if p >= 1 {
-		return 0
-	}
-	n := 0
-	for n < cap && !r.Bool(p) {
-		n++
-	}
-	return n
-}
-
-// Poisson returns a draw from a Poisson distribution with mean lambda,
-// using Knuth's multiplication method. Suitable for the small lambdas the
-// simulation uses (ad counts per page, refresh variation).
-func (r *RNG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-		if k > 10000 { // safety bound; unreachable for sane lambda
-			return k
-		}
-	}
 }

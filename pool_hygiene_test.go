@@ -141,9 +141,7 @@ func TestPoolHygieneMinijsVM(t *testing.T) {
 		t.Fatalf("only %d runnable programs; corpus too small to exercise the pool", len(progs))
 	}
 	run := func(i int) string {
-		in := minijs.New()
-		in.UseVM = true
-		v, err := in.RunProgram(progs[i])
+		v, err := minijs.New().RunProgram(progs[i])
 		return fmt.Sprintf("v=%s err=%v", minijs.ToString(v), err)
 	}
 	hammer(t, len(progs), run)
