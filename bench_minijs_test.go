@@ -1,14 +1,14 @@
 package madave
 
-// BenchmarkMinijsCompiled* measure the script engine under the honeyclient's
-// real execution pattern: the same ad creatives replayed impression after
-// impression, each run by a fresh interpreter. Cold pays hash+parse+compile
-// on every script (first sight); Warm is the steady state where the shared
-// code cache serves compiled bytecode and only VM execution remains;
-// TreeWalk is the seed engine this PR replaced — Interp.Run re-parses the
-// source and walks the AST on every execution, which is exactly what the
-// browser did before the code cache existed. TestEmitBenchPipeline gates
-// Warm strictly faster than TreeWalk — the point of the compiler pipeline.
+// BenchmarkMinijsCompiled* measure the script engine on the adserver's
+// creative shapes, each run by a fresh interpreter. Cold pays
+// hash+parse+compile on every script (first sight), which is what the
+// browser pays per ad: creatives embed per-impression IDs, so no script
+// source repeats. Warm is the steady state a content-hash code cache gives
+// when sources do repeat, where only VM execution remains; TreeWalk is the
+// seed engine — Interp.Run re-parses the source and walks the AST on every
+// execution. TestEmitBenchPipeline gates Warm strictly faster than
+// TreeWalk — the point of the compiler pipeline.
 
 import (
 	"context"

@@ -244,10 +244,6 @@ type Browser struct {
 	MaxRedirects  int
 	// ScriptBudget is the minijs step allowance per document.
 	ScriptBudget int
-	// CodeCache, when set, shares parsed+compiled scripts across documents
-	// keyed by source hash. Ad corpora repeat the same creatives, so this
-	// removes most parse/compile work from every visit after the first.
-	CodeCache *minijs.CodeCache
 	// TolerantJS parses scripts with error recovery: broken creatives run
 	// to a deterministic partial result instead of failing outright, and
 	// their syntax diagnostics land in Page.Errors.
@@ -668,30 +664,14 @@ func (b *Browser) loadFrames(ctx context.Context, page *Page, depth int) {
 	}
 }
 
-// readCapped drains up to maxBodyBytes of a response body. When the
-// transport declares a credible Content-Length (the in-memory transport
-// always does), the buffer is sized exactly once instead of growing through
-// io.ReadAll's doubling schedule.
+// readCapped returns up to maxBodyBytes of a response body. A body the
+// transport stack already holds in memory (memnet's, or the retry layer's
+// buffer) is taken in place: the returned slice aliases it and is only
+// read. Any other body is read out.
 func readCapped(resp *http.Response) []byte {
-	// ContentLength 0 is ambiguous (it can mean "unset"), so only a positive
-	// declared length takes the presized path.
-	if n := resp.ContentLength; n > 0 && n <= maxBodyBytes {
-		buf := make([]byte, n)
-		m, err := io.ReadFull(resp.Body, buf)
-		if err != nil && err != io.ErrUnexpectedEOF {
-			return buf[:m]
-		}
-		if err == nil {
-			// Trust but verify: probe one byte past the declared length
-			// (allocation-free when the length was honest) and only fall to
-			// the generic path when more bytes actually follow.
-			var probe [1]byte
-			if pn, _ := resp.Body.Read(probe[:]); pn > 0 {
-				rest, _ := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes-n-1))
-				return append(append(buf, probe[0]), rest...)
-			}
-		}
-		return buf[:m]
+	if mb, ok := resp.Body.(*memnet.Body); ok {
+		b := mb.Bytes()
+		return b[:min(len(b), maxBodyBytes)]
 	}
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	return body

@@ -164,23 +164,21 @@ func (ctx *scriptCtx) runExternalScript(in *minijs.Interp, src string) {
 	ctx.curScript = prev
 }
 
-// runScript parses (through the shared code cache when one is configured)
-// and executes one script body, recording parse diagnostics and runtime
-// errors under the given prefix. With and without a cache the same source
-// yields the same Page.Errors, which is what the cache determinism gate
-// checks.
+// runScript parses, compiles and executes one script body, recording parse
+// diagnostics and runtime errors under the given prefix. The compile runs
+// under the page's request context, so a visit that has run out of time
+// records the context's error instead of running the script.
 func (ctx *scriptCtx) runScript(in *minijs.Interp, src, label string) {
-	b := ctx.b
 	var prog *minijs.Program
 	var perrs []*minijs.SyntaxError
 	var err error
-	switch {
-	case b.CodeCache != nil:
-		prog, perrs, err = b.CodeCache.Load(ctx.reqCtx, src, b.TolerantJS)
-	case b.TolerantJS:
+	if ctx.b.TolerantJS {
 		prog, perrs = minijs.ParseTolerant(src)
-	default:
+	} else {
 		prog, err = minijs.Parse(src)
+	}
+	if err == nil {
+		err = minijs.CompileProgram(ctx.reqCtx, prog)
 	}
 	if err != nil {
 		ctx.page.Errors = append(ctx.page.Errors, label+err.Error())

@@ -20,14 +20,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"madave/internal/browser"
 	"madave/internal/cachex"
 	"madave/internal/flowgraph"
 	"madave/internal/memnet"
-	"madave/internal/minijs"
 	"madave/internal/netcap"
 	"madave/internal/resilient"
 	"madave/internal/stats"
@@ -157,13 +155,6 @@ type Honeyclient struct {
 	// corpora are unaffected.
 	TolerantJS bool
 
-	// code shares parsed+compiled scripts across every browser this
-	// honeyclient builds, keyed by source hash. Unlike the report cache it
-	// is always on: compilation is a pure function of the source, so
-	// sharing it cannot perturb verdicts.
-	codeOnce sync.Once
-	code     *minijs.CodeCache
-
 	// cache, when enabled, memoizes analysis reports so advertisements
 	// sharing a creative execute once (DESIGN.md §11). Reports are pure
 	// functions of their key, so hits are byte-identical to recomputation.
@@ -275,8 +266,6 @@ func (h *Honeyclient) newBrowser() (*browser.Browser, *netcap.Capture) {
 	b.Tel = h.Tel
 	b.ScriptBudget = h.ScriptBudget
 	b.RNG = stats.NewRNG(h.Seed).Fork("honeyclient")
-	h.codeOnce.Do(func() { h.code = minijs.NewCodeCache(0, h.Tel) })
-	b.CodeCache = h.code
 	b.TolerantJS = h.TolerantJS
 	return b, cap
 }

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -173,15 +174,40 @@ type recorder struct {
 	body   bytes.Buffer
 	wrote  bool
 
-	reader bodyReader
+	reader Body
 	resp   http.Response
 }
 
-// bodyReader is a bytes.Reader that satisfies io.ReadCloser without the
-// io.NopCloser wrapper allocation.
-type bodyReader struct{ bytes.Reader }
+// Body is a response body held in memory: memnet's responses carry one, and
+// the retry layer rebuilds one around any body it had to buffer. Bytes hands
+// out the unread bytes in place, so a layer that needs the whole body takes
+// it without copying it out of the reader.
+type Body struct {
+	b []byte // the unread bytes
+}
 
-func (*bodyReader) Close() error { return nil }
+// NewBody returns a Body reading b. The Body aliases b; the caller must not
+// modify b afterwards.
+func NewBody(b []byte) *Body { return &Body{b: b} }
+
+func (r *Body) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.b)
+	r.b = r.b[n:]
+	return n, nil
+}
+
+// Len returns the number of unread bytes.
+func (r *Body) Len() int { return len(r.b) }
+
+// Bytes returns the unread bytes without consuming them. The slice aliases
+// the body's buffer and must be treated as read-only.
+func (r *Body) Bytes() []byte { return r.b }
+
+// Close is a no-op: an in-memory body holds no connection.
+func (*Body) Close() error { return nil }
 
 func newRecorder() *recorder {
 	return &recorder{header: make(http.Header, 2)}
@@ -204,11 +230,19 @@ func (r *recorder) Write(p []byte) (int, error) {
 	return r.body.Write(p)
 }
 
+// WriteString lets io.WriteString skip its []byte conversion.
+func (r *recorder) WriteString(s string) (int, error) {
+	if !r.wrote {
+		r.WriteHeader(http.StatusOK)
+	}
+	return r.body.WriteString(s)
+}
+
 func (r *recorder) response(req *http.Request) *http.Response {
 	if !r.wrote {
 		r.status = http.StatusOK
 	}
-	r.reader.Reset(r.body.Bytes())
+	r.reader.b = r.body.Bytes()
 	r.resp = http.Response{
 		Status:        statusLine(r.status),
 		StatusCode:    r.status,

@@ -235,3 +235,25 @@ func TestStripPort(t *testing.T) {
 		t.Fatal("port should be stripped in lookup")
 	}
 }
+
+// TestBodyBytesIsUnreadRemainder pins Body.Bytes to the bytes a Read would
+// still return, so a layer that takes the body in place after another has
+// started reading it sees the same bytes a reader would.
+func TestBodyBytesIsUnreadRemainder(t *testing.T) {
+	resp, err := Client(newTestUniverse()).Get("http://www.pub.example.com/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := resp.Body.(*Body)
+	if !ok {
+		t.Fatalf("memnet body is %T, want *Body", resp.Body)
+	}
+	var head [6]byte
+	if _, err := io.ReadFull(body, head[:]); err != nil {
+		t.Fatal(err)
+	}
+	rest := string(body.Bytes())
+	if got, _ := io.ReadAll(body); string(got) != rest || string(head[:])+rest != "<html>page /x on www.pub.example.com</html>" {
+		t.Fatalf("Bytes = %q after reading %q; a Read returned %q", rest, head, got)
+	}
+}

@@ -152,11 +152,18 @@ func (st *compileState) tick() {
 // bytecode. On success it publishes the chunks into prog.code and each
 // FuncLit.code; on error (context cancellation) nothing is published, so a
 // deadline-truncated compile can never leak a partial program into a cache.
-// Not safe for concurrent calls on the same Program; callers serialize
-// (the code cache singleflights, and per-run programs have one owner).
+// A context that has already ended fails the compile before any work, so a
+// short script is refused as surely as a long one. Not safe for concurrent
+// calls on the same Program; callers serialize (the code cache
+// singleflights, and per-run programs have one owner).
 func CompileProgram(ctx context.Context, prog *Program) (err error) {
 	if prog.code != nil {
 		return nil
+	}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 	}
 	defer func() {
 		if r := recover(); r != nil {

@@ -113,9 +113,12 @@ func newLexer(src string) *lexer {
 
 // Lex tokenizes src completely, returning the tokens (terminated by a TokEOF
 // token) or a *SyntaxError.
-func Lex(src string) ([]Token, error) {
+func Lex(src string) ([]Token, error) { return lexInto(nil, src) }
+
+// lexInto is Lex appending to toks, so a parse can lex into a recycled
+// buffer.
+func lexInto(toks []Token, src string) ([]Token, error) {
 	lx := newLexer(src)
-	var toks []Token
 	for {
 		tok, err := lx.next()
 		if err != nil {
@@ -133,10 +136,12 @@ func Lex(src string) ([]Token, error) {
 // runs to end of input, and a byte no token can start is skipped. Every
 // recovery is recorded as a *SyntaxError; the token stream is always
 // TokEOF-terminated and usable.
-func LexTolerant(src string) ([]Token, []*SyntaxError) {
+func LexTolerant(src string) ([]Token, []*SyntaxError) { return lexTolerantInto(nil, src) }
+
+// lexTolerantInto is LexTolerant appending to toks.
+func lexTolerantInto(toks []Token, src string) ([]Token, []*SyntaxError) {
 	lx := newLexer(src)
 	lx.tolerant = true
-	var toks []Token
 	for {
 		tok, err := lx.next()
 		if err != nil {
@@ -424,6 +429,17 @@ func (lx *lexer) lexNumber(line, col int) (Token, error) {
 func (lx *lexer) lexString(line, col int) (Token, error) {
 	quote := lx.src[lx.pos]
 	lx.advance(1)
+	// Fast path: a literal with no escape and no line break is its own
+	// source bytes, so the token shares them instead of building a copy.
+	stops := "\"\\\n"
+	if quote == '\'' {
+		stops = "'\\\n"
+	}
+	if i := strings.IndexAny(lx.src[lx.pos:], stops); i >= 0 && lx.src[lx.pos+i] == quote {
+		text := lx.src[lx.pos : lx.pos+i]
+		lx.advance(i + 1)
+		return Token{Kind: TokString, Text: text, Str: text, Line: line, Col: col}, nil
+	}
 	var b strings.Builder
 	for {
 		if lx.pos >= len(lx.src) {

@@ -1,10 +1,35 @@
 package minijs
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
+
+// tokenBufs recycles token buffers across parses. The token slice is a
+// parse's largest allocation and is dead once the AST is built: nodes copy
+// the token fields they keep.
+var tokenBufs = sync.Pool{New: func() any { return new([]Token) }}
+
+// maxPooledTokens bounds the buffers kept for reuse, so one huge script
+// does not pin its token slice in the pool.
+const maxPooledTokens = 1 << 12
+
+// putTokenBuf returns a parse's token buffer, cleared so the pool holds no
+// strings of the parsed source.
+func putTokenBuf(buf *[]Token, toks []Token) {
+	if cap(toks) > maxPooledTokens {
+		return
+	}
+	clear(toks)
+	*buf = toks[:0]
+	tokenBufs.Put(buf)
+}
 
 // Parse parses src into a Program or returns a *SyntaxError.
 func Parse(src string) (*Program, error) {
-	toks, err := Lex(src)
+	buf := tokenBufs.Get().(*[]Token)
+	toks, err := lexInto(*buf, src)
+	defer putTokenBuf(buf, toks)
 	if err != nil {
 		return nil, err
 	}
@@ -33,7 +58,9 @@ const maxParseErrors = 50
 // Recovery is a pure function of src, so execution of the partial program
 // stays deterministic.
 func ParseTolerant(src string) (*Program, []*SyntaxError) {
-	toks, lexErrs := LexTolerant(src)
+	buf := tokenBufs.Get().(*[]Token)
+	toks, lexErrs := lexTolerantInto(*buf, src)
+	defer putTokenBuf(buf, toks)
 	p := &parser{toks: toks, tolerant: true, errs: lexErrs}
 	if len(p.errs) >= maxParseErrors {
 		p.errs = p.errs[:maxParseErrors]

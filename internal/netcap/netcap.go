@@ -140,11 +140,12 @@ func (c *Capture) stampOrigin(tx *Transaction) {
 }
 
 func (c *Capture) roundTrip(req *http.Request, tag string) (*http.Response, error) {
+	url := req.URL.String()
 	tx := Transaction{
 		Time:    time.Now(),
 		Method:  req.Method,
-		URL:     req.URL.String(),
-		Host:    urlx.Host(req.URL.String()),
+		URL:     url,
+		Host:    urlx.Host(url),
 		Referer: req.Header.Get("Referer"),
 		Tag:     tag,
 	}

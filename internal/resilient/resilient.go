@@ -373,7 +373,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 
 		t.count(&cnt.Attempts, evAttempt)
-		resp, body, err := t.attempt(req, pol, attempt)
+		resp, err := t.attempt(req, pol, attempt)
 
 		truncated := errors.Is(err, io.ErrUnexpectedEOF)
 		if truncated {
@@ -386,7 +386,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		ok := err == nil && (resp == nil || resp.StatusCode < 500)
 		t.report(host, ok)
 		if ok {
-			return restoreBody(resp, body), nil
+			return resp, nil
 		}
 
 		if attempt >= pol.MaxAttempts || !transient(err, resp) || ctx.Err() != nil {
@@ -394,7 +394,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			// partial bytes over rather than dropping the response, and let
 			// 5xx responses through so callers observe the status.
 			if resp != nil && (err == nil || truncated) {
-				return restoreBody(resp, body), nil
+				return resp, nil
 			}
 			return nil, err
 		}
@@ -405,22 +405,37 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 }
 
-// attempt issues one try: clone the request with the attempt tag and
-// per-attempt deadline, round-trip it, and buffer the body.
-func (t *Transport) attempt(req *http.Request, pol Policy, attempt int) (*http.Response, []byte, error) {
+// attempt issues one try: tag the request with the attempt number, bound
+// it by the per-attempt deadline, round-trip it, and buffer the body. On
+// success (and on a truncated body) resp.Body is a *memnet.Body holding the
+// buffered bytes.
+func (t *Transport) attempt(req *http.Request, pol Policy, attempt int) (*http.Response, error) {
 	actx := req.Context()
 	if attempt > 1 {
 		// AttemptFrom defaults to 1 when the tag is absent, so the common
 		// first attempt skips the context-value allocation entirely.
 		actx = memnet.WithAttempt(actx, attempt)
 	}
+	// deadline is the attempt deadline over the synchronous in-memory
+	// transport, checked after the call instead of armed as a timer.
+	var deadline time.Time
 	if pol.AttemptTimeout > 0 {
 		// A parent deadline that already fires sooner makes the per-attempt
-		// timer redundant; skipping it avoids a timer + context per attempt.
-		if d, ok := actx.Deadline(); !ok || time.Until(d) > pol.AttemptTimeout {
-			var cancel context.CancelFunc
-			actx, cancel = context.WithTimeout(actx, pol.AttemptTimeout)
-			defer cancel()
+		// deadline redundant.
+		now := time.Now()
+		if d, ok := actx.Deadline(); !ok || d.Sub(now) > pol.AttemptTimeout {
+			if _, synchronous := t.Next.(*memnet.Transport); synchronous {
+				// memnet runs the handler to completion and a timer cannot
+				// interrupt it; its only effect is memnet discarding the
+				// response once the handler returns late. The elapsed-time
+				// check below has the same outcome without a timer and a
+				// context per attempt.
+				deadline = now.Add(pol.AttemptTimeout)
+			} else {
+				var cancel context.CancelFunc
+				actx, cancel = context.WithTimeout(actx, pol.AttemptTimeout)
+				defer cancel()
+			}
 		}
 	}
 	if t.Tel != nil {
@@ -436,36 +451,49 @@ func (t *Transport) attempt(req *http.Request, pol Policy, attempt int) (*http.R
 		defer sp.End()
 	}
 
-	// WithContext is a shallow copy: downstream transports (memnet, or a
-	// stock net/http transport) must not mutate the request, and attempts run
-	// strictly sequentially, so sharing the URL and header map is safe and
-	// skips Clone's deep header/URL copies.
-	resp, err := t.Next.RoundTrip(req.WithContext(actx))
-	if err != nil {
-		return nil, nil, err
+	// The first attempt usually runs under the caller's own context, so the
+	// request goes down as is. Otherwise WithContext is a shallow copy:
+	// downstream transports (memnet, or a stock net/http transport) must not
+	// mutate the request, and attempts run strictly sequentially, so sharing
+	// the URL and header map is safe and skips Clone's deep copies.
+	areq := req
+	if actx != req.Context() {
+		areq = req.WithContext(actx)
 	}
-	body, rerr := readBody(resp)
-	resp.Body.Close()
-	return resp, body, rerr
+	resp, err := t.Next.RoundTrip(areq)
+	if err != nil {
+		return nil, err
+	}
+	if !deadline.IsZero() && time.Now().After(deadline) {
+		resp.Body.Close()
+		return nil, context.DeadlineExceeded
+	}
+	return resp, bufferBody(resp)
 }
 
-// readBody buffers up to maxBufferedBody bytes of a response, sizing the
-// buffer from Content-Length when the transport declares one (the in-memory
-// transport always does) instead of growing through io.ReadAll.
-func readBody(resp *http.Response) ([]byte, error) {
-	// ContentLength 0 is ambiguous (hand-built responses leave it unset), so
-	// only a positive declared length takes the presized path.
-	if n := resp.ContentLength; n > 0 && n <= maxBufferedBody {
-		buf := make([]byte, n)
-		m, err := io.ReadFull(resp.Body, buf)
-		if err == io.ErrUnexpectedEOF || err == io.EOF {
-			// Short body: surface the truncation the same way the generic
-			// path would (partial bytes, ErrUnexpectedEOF from the reader).
-			return buf[:m], io.ErrUnexpectedEOF
+// bufferBody leaves up to maxBufferedBody bytes of the response in memory
+// as a *memnet.Body and reports a body shorter than its declared
+// Content-Length (or one whose reader says so) as io.ErrUnexpectedEOF. A
+// body memnet already holds in memory is checked in place; any other body
+// is read once, and the buffer becomes the new body without another copy.
+func bufferBody(resp *http.Response) error {
+	body, ok := resp.Body.(*memnet.Body)
+	if !ok || body.Len() > maxBufferedBody {
+		b, err := io.ReadAll(io.LimitReader(resp.Body, maxBufferedBody))
+		resp.Body.Close()
+		body = memnet.NewBody(b)
+		resp.Body = body
+		if err != nil {
+			return err
 		}
-		return buf[:m], err
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxBufferedBody))
+	// ContentLength 0 is ambiguous (hand-built responses leave it unset), so
+	// only a positive declared length can expose a truncation, and a body
+	// that filled the buffer cap is not short whatever it declared.
+	if n := int64(body.Len()); n < resp.ContentLength && n < maxBufferedBody {
+		return io.ErrUnexpectedEOF
+	}
+	return nil
 }
 
 // counters returns the transport's counter sink, never nil.
@@ -492,12 +520,6 @@ func (t *Transport) report(host string, ok bool) {
 		t.Tel.Event(telemetry.LevelInfo, telemetry.EventBreakerClose, "crawl",
 			"circuit closed after successful probe", "host", host)
 	}
-}
-
-// restoreBody reattaches a buffered body to a response.
-func restoreBody(resp *http.Response, body []byte) *http.Response {
-	resp.Body = io.NopCloser(strings.NewReader(string(body)))
-	return resp
 }
 
 // transient reports whether a failed attempt is worth retrying: connection
@@ -539,6 +561,11 @@ func (t *Transport) backoff(ctx context.Context, pol Policy, url string, attempt
 	delay := pol.BaseDelay << (attempt - 1)
 	if delay > pol.MaxDelay || delay <= 0 {
 		delay = pol.MaxDelay
+	}
+	if ctx.Err() != nil {
+		// Checked first: with a tiny delay the timer may already have fired
+		// when the select runs, and select picks among ready cases at random.
+		return false
 	}
 	rng := stats.NewRNGFromString(fmt.Sprintf("backoff|%d|%s|%d", pol.Seed, url, attempt))
 	jittered := delay/2 + time.Duration(rng.Float64()*float64(delay/2))

@@ -3,7 +3,8 @@ package madave
 // Pool hygiene: the zero-allocation work (DESIGN.md §16) keeps hot-path
 // scratch in sync.Pools and reusable per-context buffers — the htmlparse
 // parse-state pool (tokenizer attribute scratch + node/attr arenas), the
-// minijs VM machine pool, and the easylist RequestCtx case-fold scratch.
+// minijs token-buffer and VM machine pools, and the easylist RequestCtx
+// case-fold scratch.
 // The failure mode of pooled scratch is not a crash but silent cross-talk:
 // a buffer released with stale state leaks one request's bytes into the
 // next, and only under concurrency. These tests hammer every pooled site
@@ -145,6 +146,38 @@ func TestPoolHygieneMinijsVM(t *testing.T) {
 		return fmt.Sprintf("v=%s err=%v", minijs.ToString(v), err)
 	}
 	hammer(t, len(progs), run)
+}
+
+// TestPoolHygieneMinijsParse hammers the minijs token-buffer pool: strict
+// and tolerant parses of scripts of mixed sizes, one too large to be pooled
+// and some malformed, must compile to the serial pass's bytecode and report
+// its diagnostics.
+func TestPoolHygieneMinijsParse(t *testing.T) {
+	srcs := append(fuzzutil.Scripts(0x9003, 16),
+		strings.Repeat("var a = 'x' + 1;\n", 1000), // more tokens than the pool keeps
+		`x = 1`, // a tiny script right after the big one
+		`var s = "unterminated`,
+		`if (a { b(); } c = "esc\x41pe";`,
+	)
+	digest := func(i int) string {
+		var b strings.Builder
+		for _, tolerant := range []bool{false, true} {
+			var prog *minijs.Program
+			var err error
+			var errs []*minijs.SyntaxError
+			if tolerant {
+				prog, errs = minijs.ParseTolerant(srcs[i])
+			} else {
+				prog, err = minijs.Parse(srcs[i])
+			}
+			fmt.Fprintf(&b, "tolerant=%v err=%v errs=%v\n", tolerant, err, errs)
+			if prog != nil && minijs.CompileProgram(context.Background(), prog) == nil {
+				b.WriteString(minijs.Disassemble(prog))
+			}
+		}
+		return b.String()
+	}
+	hammer(t, len(srcs), digest)
 }
 
 // TestPoolHygieneEasylistCtx hammers the easylist RequestCtx fold scratch:
