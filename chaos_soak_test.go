@@ -1,6 +1,7 @@
 package madave
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -8,8 +9,10 @@ import (
 	"time"
 
 	"madave/internal/fuzzutil/leakcheck"
+	"madave/internal/journal"
 	"madave/internal/memnet"
 	"madave/internal/resilient"
+	"madave/internal/stream"
 )
 
 // chaosStudyConfig is the soak configuration: a third of all requests are
@@ -100,4 +103,73 @@ func TestChaosSoak(t *testing.T) {
 	// The pipeline must wind down completely: back near the goroutine
 	// baseline once the run returns.
 	snap.Check(t)
+}
+
+// TestBatchWorkerInvarianceUnderChaos pins the batch crawl's determinism
+// across worker counts: under the chaos profile, 1, 4 and 8 workers must
+// produce identical crawl statistics, corpus and report, and the same
+// counts as the streaming service running the same schedule.
+func TestBatchWorkerInvarianceUnderChaos(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos invariance skipped in -short mode")
+	}
+	const seed = 2014
+	var wantStats, wantHashes, wantReport string
+	var ref *Results
+	for _, workers := range []int{1, 4, 8} {
+		cfg := chaosStudyConfig(seed)
+		cfg.Crawl.Parallelism = workers
+		cfg.OracleParallelism = workers
+		s, err := NewStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corp, st := s.Crawl()
+		res := s.Classify(corp)
+		rep := s.Analyze(corp, res, st)
+		hashes := make([]string, 0, corp.Len())
+		for _, ad := range corp.All() {
+			hashes = append(hashes, ad.Hash)
+		}
+		sort.Strings(hashes)
+		gotStats, gotHashes, gotReport := fmt.Sprintf("%+v", *st), strings.Join(hashes, "\n"), rep.RenderText()
+		if ref == nil {
+			wantStats, wantHashes, wantReport = gotStats, gotHashes, gotReport
+			ref = &Results{Corpus: corp, CrawlStats: st, Oracle: res, Report: rep}
+			continue
+		}
+		if gotStats != wantStats {
+			t.Errorf("%d workers: crawl stats differ from 1 worker:\n%s\n%s", workers, gotStats, wantStats)
+		}
+		if gotHashes != wantHashes {
+			t.Errorf("%d workers: corpus (%d ads) differs from 1 worker (%d ads)", workers, corp.Len(), ref.Corpus.Len())
+		}
+		if gotReport != wantReport {
+			t.Errorf("%d workers: report differs from 1 worker", workers)
+		}
+	}
+
+	// The streaming service runs the same visits hermetically; the batch
+	// crawl must agree with it.
+	study, err := NewStudy(chaosStudyConfig(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := stream.NewService(study, stream.ServiceConfig{Journal: journal.NewMem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := svc.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, st := run.Summary, ref.CrawlStats
+	batch := [6]int{int(st.PagesVisited), int(st.PageErrors), int(st.AdFrames),
+		ref.Corpus.Len(), int(st.DegradedPages), ref.Oracle.MaliciousCount()}
+	streamed := [6]int{sum.Visits, sum.PageErrors, sum.AdFrames,
+		sum.UniqueAds, sum.DegradedPages, sum.Malicious}
+	if batch != streamed {
+		t.Fatalf("visits, page errors, ad frames, unique ads, degraded pages, malicious:\nbatch  %v\nstream %v", batch, streamed)
+	}
+	t.Logf("visits, page errors, ad frames, unique ads, degraded pages, malicious: %v", batch)
 }

@@ -140,7 +140,7 @@ func Analyze(in Input) *Report {
 	genericMal := 0
 
 	for _, ad := range in.Corpus.All() {
-		serving := servingNetwork(ad)
+		serving := ad.ServingNetwork()
 		agg := nets[serving]
 		if agg == nil {
 			agg = &netAgg{}
@@ -245,14 +245,6 @@ func Analyze(in Input) *Report {
 	// Flow-graph section (additive; nil when the graph oracle was off).
 	rep.Graph = AnalyzeGraph(in.Corpus, in.Result)
 	return rep
-}
-
-// servingNetwork returns the final host of the ad's arbitration chain.
-func servingNetwork(ad *corpus.Ad) string {
-	if len(ad.Chain) == 0 {
-		return urlx.Host(ad.FinalURL)
-	}
-	return ad.Chain[len(ad.Chain)-1]
 }
 
 // clusterOf assigns the §4.2 cluster for a publisher rank.

@@ -251,7 +251,7 @@ func TestClusterOf(t *testing.T) {
 
 func TestServingNetworkFallback(t *testing.T) {
 	ad := &corpus.Ad{FinalURL: "http://adserv.solo.com/serve"}
-	if got := servingNetwork(ad); got != "adserv.solo.com" {
+	if got := ad.ServingNetwork(); got != "adserv.solo.com" {
 		t.Fatalf("fallback = %q", got)
 	}
 }

@@ -78,7 +78,7 @@ func AnalyzeGraph(corp *corpus.Corpus, res *oracle.Result) *GraphStats {
 	}
 	nets := map[string]*agg{}
 	for _, ad := range corp.All() {
-		net := servingNetwork(ad)
+		net := ad.ServingNetwork()
 		a := nets[net]
 		if a == nil {
 			a = &agg{}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -65,6 +66,13 @@ func UserProfile() Profile {
 		ScreenW: 1920,
 		ScreenH: 1080,
 	}
+}
+
+// equal reports whether two profiles present the same environment.
+func (p *Profile) equal(q *Profile) bool {
+	return p.Name == q.Name && p.UserAgent == q.UserAgent &&
+		p.ScreenW == q.ScreenW && p.ScreenH == q.ScreenH &&
+		slices.Equal(p.Plugins, q.Plugins)
 }
 
 // HoneyclientProfile models the analysis environment: deliberately
@@ -264,10 +272,9 @@ type Browser struct {
 	// treats request headers as read-only (see memnet.Transport).
 	baseHeader http.Header
 	uaVal      []string
-	// navObj/screenObj are the frozen shared navigator and screen host
-	// objects, pure functions of Profile, built on first script run.
-	navObj    *minijs.Object
-	screenObj *minijs.Object
+	// objs are Profile's shared navigator and screen host objects, looked
+	// up on the first script run.
+	objs *profileObjs
 	// EnforceSandbox honors iframe sandbox attributes. Real browsers do;
 	// the study's finding is that no publisher used them.
 	EnforceSandbox bool

@@ -2,8 +2,10 @@ package browser
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"madave/internal/htmlparse"
 	"madave/internal/minijs"
@@ -331,6 +333,60 @@ var (
 	}()
 )
 
+// profileObjs are the frozen navigator and screen host objects of one
+// Profile. They are pure functions of the Profile, so browsers with equal
+// profiles share one pair for the whole process: scripts cannot write to
+// them, and concurrent interpreters only read them.
+type profileObjs struct {
+	profile     Profile
+	nav, screen *minijs.Object
+}
+
+var (
+	profileObjsMu  sync.Mutex
+	profileObjsAll []*profileObjs // one per distinct Profile seen
+)
+
+// profileObjects returns b.Profile's shared host objects, looked up on the
+// browser's first script run.
+func (b *Browser) profileObjects() *profileObjs {
+	if b.objs != nil {
+		return b.objs
+	}
+	profileObjsMu.Lock()
+	defer profileObjsMu.Unlock()
+	for _, o := range profileObjsAll {
+		if o.profile.equal(&b.Profile) {
+			b.objs = o
+			return o
+		}
+	}
+	p := b.Profile
+	p.Plugins = slices.Clone(p.Plugins)
+	nav := minijs.NewObject()
+	nav.Name = "navigator"
+	nav.Props["userAgent"] = minijs.Str(p.UserAgent)
+	plugins := minijs.NewArray()
+	for _, pl := range p.Plugins {
+		po := minijs.NewObject()
+		po.Props["name"] = minijs.Str(pl.Name)
+		po.Props["version"] = minijs.Num(pl.Version)
+		po.Freeze()
+		plugins.Elems = append(plugins.Elems, po.Value())
+	}
+	plugins.Freeze()
+	nav.Props["plugins"] = plugins.Value()
+	nav.Freeze()
+	screen := minijs.NewObject()
+	screen.Name = "screen"
+	screen.Props["width"] = minijs.Num(float64(p.ScreenW))
+	screen.Props["height"] = minijs.Num(float64(p.ScreenH))
+	screen.Freeze()
+	b.objs = &profileObjs{profile: p, nav: nav, screen: screen}
+	profileObjsAll = append(profileObjsAll, b.objs)
+	return b.objs
+}
+
 func (ctx *scriptCtx) install(in *minijs.Interp) {
 	g := in.Global
 
@@ -364,35 +420,9 @@ func (ctx *scriptCtx) install(in *minijs.Interp) {
 	g.Define("document", doc.Value())
 
 	// navigator / screen --------------------------------------------------
-	// Pure functions of the Profile, so they are built once per Browser as
-	// frozen shared objects rather than per frame (writes are silently
-	// ignored, like the shared builtin method objects).
-	if ctx.b.navObj == nil {
-		nav := minijs.NewObject()
-		nav.Name = "navigator"
-		nav.Props["userAgent"] = minijs.Str(ctx.b.Profile.UserAgent)
-		plugins := minijs.NewArray()
-		for _, p := range ctx.b.Profile.Plugins {
-			po := minijs.NewObject()
-			po.Props["name"] = minijs.Str(p.Name)
-			po.Props["version"] = minijs.Num(p.Version)
-			po.Freeze()
-			plugins.Elems = append(plugins.Elems, po.Value())
-		}
-		plugins.Freeze()
-		nav.Props["plugins"] = plugins.Value()
-		nav.Freeze()
-		ctx.b.navObj = nav
-
-		screen := minijs.NewObject()
-		screen.Name = "screen"
-		screen.Props["width"] = minijs.Num(float64(ctx.b.Profile.ScreenW))
-		screen.Props["height"] = minijs.Num(float64(ctx.b.Profile.ScreenH))
-		screen.Freeze()
-		ctx.b.screenObj = screen
-	}
-	g.Define("navigator", ctx.b.navObj.Value())
-	g.Define("screen", ctx.b.screenObj.Value())
+	objs := ctx.b.profileObjects()
+	g.Define("navigator", objs.nav.Value())
+	g.Define("screen", objs.screen.Value())
 
 	// location -------------------------------------------------------------
 	loc := in.NewObject()
@@ -446,8 +476,8 @@ func (ctx *scriptCtx) install(in *minijs.Interp) {
 	win := in.NewObject()
 	win.Name = "window"
 	win.Props["document"] = doc.Value()
-	win.Props["navigator"] = ctx.b.navObj.Value()
-	win.Props["screen"] = ctx.b.screenObj.Value()
+	win.Props["navigator"] = objs.nav.Value()
+	win.Props["screen"] = objs.screen.Value()
 	win.Props["top"] = top.Value()
 	win.Props["innerWidth"] = minijs.Num(float64(ctx.b.Profile.ScreenW))
 	win.Props["innerHeight"] = minijs.Num(float64(ctx.b.Profile.ScreenH))

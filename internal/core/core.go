@@ -243,7 +243,7 @@ func (s *Study) newCrawler() *crawler.Crawler {
 	return cr
 }
 
-// chaosTransport builds a per-worker transport factory that layers the
+// chaosTransport builds a per-visit transport factory that layers the
 // fault injector over the in-memory network.
 func chaosTransport(u *memnet.Universe, seed uint64, prof memnet.FaultProfile, tel *telemetry.Set) func() http.RoundTripper {
 	return func() http.RoundTripper {

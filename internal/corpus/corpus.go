@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"madave/internal/urlx"
 )
 
 // Ad is one unique advertisement snapshot plus its crawl context.
@@ -47,6 +49,16 @@ type Ad struct {
 	// Day and Refresh locate the observation in the crawl schedule.
 	Day     int `json:"day"`
 	Refresh int `json:"refresh"`
+}
+
+// ServingNetwork returns the host of the ad network that delivered the ad:
+// the last hop of its arbitration chain, or for a chainless ad the host of
+// its final URL.
+func (ad *Ad) ServingNetwork() string {
+	if len(ad.Chain) == 0 {
+		return urlx.Host(ad.FinalURL)
+	}
+	return ad.Chain[len(ad.Chain)-1]
 }
 
 // HashHTML computes the corpus key for a rendered document.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"madave/internal/corpus"
 	"madave/internal/memnet"
 	"madave/internal/resilient"
 )
@@ -83,23 +84,29 @@ func TestCrawlDeterministicUnderChaos(t *testing.T) {
 
 // TestCrawlBreakerCutsOffDeadHost kills one publisher host outright (every
 // request resets) and checks the circuit breaker opens, sheds requests,
-// and the rest of the crawl still collects ads.
+// and the rest of the crawl still collects ads. Breakers live for one
+// visit, so the threshold sits below the retry budget: one dead document's
+// retries open the breaker and its last attempt is shed.
 func TestCrawlBreakerCutsOffDeadHost(t *testing.T) {
 	u, web, list := fixture(t)
 	sites := web.TopSlice(8)
 	dead := sites[0].Host
-	cfg := Config{
-		Days: 1, Refreshes: 8, Parallelism: 1, Seed: 7,
-		VisitTimeout: -1,
-		Retry:        fastRetry(),
+	crawl := func(parallelism int) (*corpus.Corpus, *Stats) {
+		cfg := Config{
+			Days: 1, Refreshes: 8, Parallelism: parallelism, Seed: 7,
+			VisitTimeout:     -1,
+			Retry:            fastRetry(), // 3 attempts
+			BreakerThreshold: 2,
+		}
+		c := New(u, list, web, cfg)
+		c.Transport = func() http.RoundTripper {
+			ch := memnet.NewChaos(&memnet.Transport{U: u}, 7, memnet.FaultProfile{})
+			ch.SetHostProfile(dead, memnet.FaultProfile{ResetRate: 1})
+			return ch
+		}
+		return c.Run(sites)
 	}
-	c := New(u, list, web, cfg)
-	c.Transport = func() http.RoundTripper {
-		ch := memnet.NewChaos(&memnet.Transport{U: u}, 7, memnet.FaultProfile{})
-		ch.SetHostProfile(dead, memnet.FaultProfile{ResetRate: 1})
-		return ch
-	}
-	corp, st := c.Run(sites)
+	corp, st := crawl(1)
 
 	if st.CircuitOpens == 0 {
 		t.Fatalf("breaker never opened for the dead host: %+v", st)
@@ -118,6 +125,10 @@ func TestCrawlBreakerCutsOffDeadHost(t *testing.T) {
 		if ad.PubHost == dead {
 			t.Fatalf("harvested an ad from the dead host %s", dead)
 		}
+	}
+	// Breaker trips are per visit, so the worker count cannot move them.
+	if _, st4 := crawl(4); *st4 != *st {
+		t.Fatalf("stats differ across worker counts:\n1: %+v\n4: %+v", st, st4)
 	}
 }
 

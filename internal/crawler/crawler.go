@@ -4,20 +4,21 @@
 // advertisement iframes with EasyList, and snapshots each rendered ad into
 // the corpus.
 //
-// Visits fan out over a worker pool; each worker owns its own browser,
-// HTTP capture, and resilience state (retry transport + per-host circuit
-// breakers). Work is statically striped across workers — worker w handles
-// every Parallelism-th visit — so each worker sees a deterministic request
-// sequence and crawls are byte-for-byte reproducible per seed even under
-// injected faults.
+// Every visit is hermetic: it runs in a fresh browser whose RNG, cookie
+// jar, retry jitter and circuit breakers derive only from (seed, visit), so
+// its outcome never depends on which worker ran it or what ran before. The
+// batch crawl fans visits out over a worker pool and folds the outcomes in
+// schedule order; the streaming service journals the same outcomes one at a
+// time. Either way a seed fixes the corpus, the statistics and the traffic
+// log, at any worker count and under injected faults.
 package crawler
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"net/url"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"madave/internal/browser"
@@ -26,7 +27,6 @@ import (
 	"madave/internal/memnet"
 	"madave/internal/netcap"
 	"madave/internal/resilient"
-	"madave/internal/stats"
 	"madave/internal/telemetry"
 	"madave/internal/urlx"
 	"madave/internal/webgen"
@@ -44,9 +44,10 @@ type Config struct {
 	// Refreshes is how many times each page is reloaded per visit (the
 	// paper used five).
 	Refreshes int
-	// Parallelism is the worker count (0 = 4).
+	// Parallelism is the worker count (0 = 4). It sets throughput only:
+	// outputs are identical at every worker count.
 	Parallelism int
-	// Seed drives per-worker browser randomness and retry jitter.
+	// Seed drives per-visit browser randomness and retry jitter.
 	Seed uint64
 	// VisitTimeout is the per-visit deadline (0 = DefaultVisitTimeout,
 	// negative = none). A visit that exceeds it yields a partial page; the
@@ -56,9 +57,11 @@ type Config struct {
 	// resilient defaults; Seed is always overridden with Config.Seed so one
 	// knob reproduces a whole crawl.
 	Retry resilient.Policy
-	// BreakerThreshold and BreakerCooldown parameterize each worker's
+	// BreakerThreshold and BreakerCooldown parameterize each visit's
 	// per-host circuit breakers (0 = resilient defaults: 5 consecutive
-	// failures open a host, 10 requests shed per open period).
+	// failures open a host, 10 requests shed per open period). Breaker
+	// state lives for one visit, so it cuts off a host that fails the same
+	// page load repeatedly, never a later visit.
 	BreakerThreshold int
 	BreakerCooldown  int
 }
@@ -111,15 +114,17 @@ type Crawler struct {
 	List     *easylist.List
 	Web      *webgen.Web
 	Config   Config
-	// Transport, when non-nil, supplies the HTTP transport each worker's
-	// browser uses instead of the default in-memory one — e.g. a TCP
-	// loopback transport from memnet.Server, so the whole crawl runs over
-	// real sockets.
+	// Transport, when non-nil, supplies the HTTP transport of each visit's
+	// browser instead of the default in-memory one — e.g. a TCP loopback
+	// transport from memnet.Server, so the whole crawl runs over real
+	// sockets. It is called once per visit; what it returns must carry no
+	// state from one visit to the next that changes responses.
 	Transport func() http.RoundTripper
 	// KeepTraffic retains the full HTTP transaction log of the crawl
 	// (§3.1: "we captured all the HTTP traffic during crawling for further
-	// investigation"). After Run, the merged trace is available via
-	// Traffic(). Off by default: a large crawl's trace is big.
+	// investigation"). After Run, the trace is available via Traffic().
+	// Off by default: a large crawl's trace is big, and without it the
+	// crawl stack has no capture layer at all.
 	KeepTraffic bool
 	// Telemetry, when non-nil, receives the crawl's metrics (counters,
 	// stage latency histograms) and — if its tracer is enabled — the span
@@ -129,12 +134,12 @@ type Crawler struct {
 	Telemetry *telemetry.Set
 
 	mu       sync.Mutex
-	traffic  []*netcap.Capture
-	smetrics *crawlMetrics // lazy, CrawlOne's shared observational handle
+	traffic  []*netcap.Capture // the last Run's per-visit captures, in schedule order
+	smetrics *crawlMetrics     // lazy, CrawlOne's shared observational handle
 }
 
-// Traffic merges the per-worker captures of the last Run into one log.
-// It returns nil unless KeepTraffic was set.
+// Traffic merges the per-visit captures of the last Run into one log, in
+// schedule order. It returns nil unless KeepTraffic was set.
 func (c *Crawler) Traffic() *netcap.Capture {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -231,15 +236,14 @@ func (c *Crawler) Run(sites []*webgen.Site) (*corpus.Corpus, *Stats) {
 }
 
 // RunContext is Run under a caller-supplied context: cancelling it stops
-// the crawl after the in-flight visits finish. Visits are striped
-// statically — worker w handles visits[i] where i%Parallelism == w — so
-// each worker's request sequence (and hence its browser RNG, cookie jar,
-// and circuit-breaker state) is identical run to run.
+// the crawl after the in-flight visits finish. Workers claim schedule
+// indices from a shared counter and run each visit hermetically; the
+// outcomes then fold into the corpus in schedule order, so the corpus, its
+// order and the traffic log depend only on the seed, not on Parallelism.
 func (c *Crawler) RunContext(ctx context.Context, sites []*webgen.Site) (*corpus.Corpus, *Stats) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	corp := corpus.New()
 	tel := c.Telemetry
 	if tel == nil {
 		// A private registry keeps the accounting path identical whether or
@@ -247,86 +251,52 @@ func (c *Crawler) RunContext(ctx context.Context, sites []*webgen.Site) (*corpus
 		tel = telemetry.New(c.Config.Seed)
 	}
 	m := newCrawlMetrics(tel)
-	c.mu.Lock()
-	c.traffic = nil
-	c.mu.Unlock()
 
 	visits := c.Visits(sites)
 	tel.Gauge("crawl_visits_planned").Set(int64(len(visits)))
 	tel.Gauge("crawl_workers").Set(int64(c.Config.Parallelism))
 
-	counters := &resilient.Counters{}
+	outs := make([]*VisitOutcome, len(visits))
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < c.Config.Parallelism; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
-			b := c.newWorkerBrowser(worker, counters)
-			// Each worker owns a match context: the EasyList engine reuses
-			// its per-request scratch across the worker's whole crawl.
-			mctx := easylist.NewRequestCtx()
-			for i := worker; i < len(visits); i += c.Config.Parallelism {
-				if ctx.Err() != nil {
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(visits) {
 					return
 				}
-				c.crawlPage(ctx, b, mctx, visits[i], corp, m)
+				outs[i] = c.crawlVisit(ctx, tel, visits[i])
+				m.record(outs[i])
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	st := m.stats(counters.Snapshot())
+
+	corp := corpus.New()
+	var res resilient.Counters
+	var traffic []*netcap.Capture
+	for _, out := range outs {
+		if out == nil {
+			continue // never claimed: the crawl was cancelled
+		}
+		for _, ha := range out.Ads {
+			corp.Add(ha.Ad)
+		}
+		res.Add(out.Counters)
+		if out.traffic != nil {
+			traffic = append(traffic, out.traffic)
+		}
+	}
+	c.mu.Lock()
+	c.traffic = traffic
+	c.mu.Unlock()
+	st := m.stats(res)
 	st.Duplicates = int64(corp.Duplicates())
 	tel.Counter("crawl_duplicates_total").Add(st.Duplicates)
 	return corp, st
-}
-
-// newWorkerBrowser builds a per-worker browser with its own capture and
-// resilience stack. The crawler browses like a real user's Firefox (the
-// paper drove the real browser with Selenium). The transport layers, inner
-// to outer: base (memnet or custom, possibly chaos-wrapped) -> resilient
-// retries/breakers -> capture — so the traffic log sees one transaction
-// per logical fetch, with retries invisible to it.
-func (c *Crawler) newWorkerBrowser(worker int, counters *resilient.Counters) *browser.Browser {
-	var rt http.RoundTripper = &memnet.Transport{U: c.Universe, Tel: c.Telemetry}
-	if c.Transport != nil {
-		rt = c.Transport()
-	}
-	pol := c.Config.Retry
-	pol.Seed = c.Config.Seed
-	res := resilient.New(rt, pol, counters)
-	res.Tel = c.Telemetry
-	// A breaker set per worker: striped visits give each worker a
-	// deterministic request sequence, so breaker trips reproduce exactly.
-	res.Breakers = resilient.NewBreakerSet(c.Config.BreakerThreshold, c.Config.BreakerCooldown)
-	cap := netcap.New(res)
-	if c.KeepTraffic {
-		c.mu.Lock()
-		c.traffic = append(c.traffic, cap)
-		c.mu.Unlock()
-	}
-	client := &http.Client{
-		Transport: cap,
-		CheckRedirect: func(req *http.Request, via []*http.Request) error {
-			return http.ErrUseLastResponse
-		},
-	}
-	b := browser.New(client, browser.UserProfile())
-	b.Capture = cap
-	b.Tel = c.Telemetry
-	b.RNG = stats.NewRNG(c.Config.Seed).Fork(fmt.Sprintf("crawler-worker-%d", worker))
-	return b
-}
-
-// crawlPage loads one page visit and folds the observation into the crawl
-// metrics and corpus. The observation itself (visitOnce) is shared with the
-// streaming service's hermetic CrawlOne, so both paths classify and harvest
-// identically.
-func (c *Crawler) crawlPage(ctx context.Context, b *browser.Browser, mctx *easylist.RequestCtx, v Visit, corp *corpus.Corpus, m *crawlMetrics) {
-	out := c.visitOnce(ctx, m.tel, b, mctx, v)
-	m.record(out)
-	for _, ha := range out.Ads {
-		corp.Add(ha.Ad)
-	}
 }
 
 // record tallies one visit outcome into the crawl counters.

@@ -1,14 +1,17 @@
 package crawler
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"madave/internal/adnet"
 	"madave/internal/adserver"
 	"madave/internal/easylist"
 	"madave/internal/memnet"
+	"madave/internal/netcap"
 	"madave/internal/webgen"
 )
 
@@ -220,6 +223,38 @@ func TestKeepTraffic(t *testing.T) {
 	}
 	if sum.Hosts < 20 {
 		t.Fatalf("trace spans only %d hosts", sum.Hosts)
+	}
+
+	// Artifact order depends only on the seed: reruns and worker counts
+	// must agree on the saved corpus bytes and the transaction sequence.
+	artifacts := func(parallelism int) (string, []netcap.Transaction) {
+		c := New(u, list, web, Config{Days: 1, Refreshes: 2, Parallelism: parallelism, Seed: 23})
+		c.KeepTraffic = true
+		corp, _ := c.Run(sites)
+		var buf bytes.Buffer
+		if err := corp.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		txs := c.Traffic().All()
+		for i := range txs {
+			txs[i].Time = time.Time{}
+		}
+		return buf.String(), txs
+	}
+	wantCorpus, wantTxs := artifacts(1)
+	for _, parallelism := range []int{1, 4, 4} {
+		gotCorpus, gotTxs := artifacts(parallelism)
+		if gotCorpus != wantCorpus {
+			t.Fatalf("saved corpus at parallelism %d differs from parallelism 1", parallelism)
+		}
+		if len(gotTxs) != len(wantTxs) {
+			t.Fatalf("parallelism %d: %d transactions, want %d", parallelism, len(gotTxs), len(wantTxs))
+		}
+		for i := range gotTxs {
+			if gotTxs[i] != wantTxs[i] {
+				t.Fatalf("parallelism %d: transaction %d is %+v, want %+v", parallelism, i, gotTxs[i], wantTxs[i])
+			}
+		}
 	}
 
 	// Without the flag, nothing is retained.

@@ -18,8 +18,8 @@ import (
 )
 
 // Visit is one unit of crawl work: a (site, day, refresh) triple. The batch
-// crawl stripes Visits across workers; the streaming service journals them
-// one at a time.
+// crawl fans Visits out over its workers; the streaming service journals
+// them one at a time.
 type Visit struct {
 	Site    *webgen.Site
 	Day     int
@@ -33,9 +33,9 @@ func (v Visit) Key() string {
 }
 
 // Visits enumerates the crawl schedule for the given sites in deterministic
-// order (day-major, then site, then refresh) — the same order RunContext
-// stripes across its workers, and the sequence numbering the streaming
-// service journals against.
+// order (day-major, then site, then refresh) — the order RunContext folds
+// outcomes in, and the sequence numbering the streaming service journals
+// against.
 func (c *Crawler) Visits(sites []*webgen.Site) []Visit {
 	var out []Visit
 	for day := 1; day <= c.Config.Days; day++ {
@@ -55,8 +55,8 @@ type HarvestedAd struct {
 	Sandboxed bool
 }
 
-// VisitOutcome is the complete observation of one visit. Under CrawlOne it
-// is a pure function of (Config.Seed, Visit): the browser, RNG, breakers and
+// VisitOutcome is the complete observation of one visit. It is a pure
+// function of (Config.Seed, Visit): the browser, RNG, breakers and
 // transport are all rebuilt from the visit key, so re-executing the visit —
 // on another worker, in another order, or after a crash — reproduces the
 // outcome byte for byte.
@@ -70,25 +70,33 @@ type VisitOutcome struct {
 	NonAd    int
 	Degraded bool
 	Ads      []HarvestedAd
-	// Resilience events observed during this visit (hermetic mode only; the
-	// batch crawl accounts these crawl-wide instead).
-	Retries  int64
-	Timeouts int64
+	// Counters are the resilience events observed during this visit.
+	resilient.Counters
+
+	traffic *netcap.Capture // the visit's log, when KeepTraffic is set
 }
 
-// CrawlOne performs one hermetic visit for the streaming service: a fresh
-// browser whose RNG, cookie jar, capture, retry jitter, and circuit-breaker
-// state derive only from (Config.Seed, v) — never from which worker runs the
-// visit or what ran before it. Crash-recovery determinism rests on this:
-// a re-executed visit is indistinguishable from its first execution.
+// CrawlOne performs one hermetic visit for the streaming service and
+// records it in the crawl metrics. Crash-recovery determinism rests on
+// hermeticity: a re-executed visit is indistinguishable from its first
+// execution.
 func (c *Crawler) CrawlOne(ctx context.Context, v Visit) *VisitOutcome {
 	tel, m := c.streamMetrics()
+	out := c.crawlVisit(ctx, tel, v)
+	m.record(out)
+	return out
+}
+
+// crawlVisit performs one hermetic visit: a fresh browser whose RNG, cookie
+// jar, capture, retry jitter, and circuit-breaker state derive only from
+// (Config.Seed, v) — never from which worker runs the visit or what ran
+// before it. It is the one visit executor of the batch crawl and CrawlOne.
+func (c *Crawler) crawlVisit(ctx context.Context, tel *telemetry.Set, v Visit) *VisitOutcome {
 	counters := &resilient.Counters{}
 	b := c.newVisitBrowser(v, counters)
-	out := c.visitOnce(ctx, tel, b, easylist.NewRequestCtx(), v)
-	res := counters.Snapshot()
-	out.Retries, out.Timeouts = res.Retries, res.Timeouts
-	m.record(out)
+	out := c.visitOnce(ctx, tel, b, v)
+	out.Counters = counters.Snapshot()
+	out.traffic = b.Capture
 	return out
 }
 
@@ -107,9 +115,12 @@ func (c *Crawler) streamMetrics() (*telemetry.Set, *crawlMetrics) {
 	return c.smetrics.tel, c.smetrics
 }
 
-// newVisitBrowser is newWorkerBrowser's hermetic sibling: the same transport
-// stack, but every seed-bearing component forks from the visit key instead
-// of a worker index, and breaker state is per-visit rather than per-worker.
+// newVisitBrowser builds the browser of one visit. The crawler browses like
+// a real user's Firefox (the paper drove the real browser with Selenium).
+// The transport layers, inner to outer: base (memnet or custom, possibly
+// chaos-wrapped) -> resilient retries/breakers -> capture, so the traffic
+// log sees one transaction per logical fetch, with retries invisible to it.
+// The capture layer (b.Capture) exists only under KeepTraffic.
 func (c *Crawler) newVisitBrowser(v Visit, counters *resilient.Counters) *browser.Browser {
 	var rt http.RoundTripper = &memnet.Transport{U: c.Universe, Tel: c.Telemetry}
 	if c.Transport != nil {
@@ -120,15 +131,17 @@ func (c *Crawler) newVisitBrowser(v Visit, counters *resilient.Counters) *browse
 	res := resilient.New(rt, pol, counters)
 	res.Tel = c.Telemetry
 	res.Breakers = resilient.NewBreakerSet(c.Config.BreakerThreshold, c.Config.BreakerCooldown)
-	cap := netcap.New(res)
 	client := &http.Client{
-		Transport: cap,
+		Transport: res,
 		CheckRedirect: func(req *http.Request, via []*http.Request) error {
 			return http.ErrUseLastResponse
 		},
 	}
 	b := browser.New(client, browser.UserProfile())
-	b.Capture = cap
+	if c.KeepTraffic {
+		b.Capture = netcap.New(res)
+		client.Transport = b.Capture
+	}
 	b.Tel = c.Telemetry
 	b.RNG = stats.NewRNG(c.Config.Seed).Fork("crawler-visit-" + v.Key())
 	return b
@@ -136,9 +149,8 @@ func (c *Crawler) newVisitBrowser(v Visit, counters *resilient.Counters) *browse
 
 // visitOnce loads one page visit under the visit deadline and harvests its
 // ad iframes into a VisitOutcome. It observes; it does not count — metric
-// accounting happens in crawlMetrics.record so the batch and streaming paths
-// share one observation routine.
-func (c *Crawler) visitOnce(ctx context.Context, tel *telemetry.Set, b *browser.Browser, mctx *easylist.RequestCtx, v Visit) *VisitOutcome {
+// accounting happens in crawlMetrics.record.
+func (c *Crawler) visitOnce(ctx context.Context, tel *telemetry.Set, b *browser.Browser, v Visit) *VisitOutcome {
 	out := &VisitOutcome{Visit: v}
 	pageURL := fmt.Sprintf("http://%s/?v=d%dr%d", v.Site.Host, v.Day, v.Refresh)
 	vctx, vspan := tel.StartSpan(ctx, telemetry.StageCrawlVisit, v.Key())
@@ -165,6 +177,7 @@ func (c *Crawler) visitOnce(ctx context.Context, tel *telemetry.Set, b *browser.
 		out.Degraded = true
 	}
 	out.Frames = len(page.Frames)
+	mctx := easylist.NewRequestCtx()
 	for _, frame := range page.Frames {
 		msp := tel.StartStageTimer(vctx, telemetry.StageEasyList, frame.URL)
 		ad := c.isAdFrame(mctx, frame.URL, v.Site.Host)

@@ -8,7 +8,7 @@ import (
 )
 
 // TestCrawlOverRealTCP runs the crawl over actual loopback sockets: the
-// universe is served by a net/http server, and every worker's browser dials
+// universe is served by a net/http server, and every visit's browser dials
 // it through a host-resolving transport. This exercises the same handler
 // code as the in-memory path but through the real network stack.
 func TestCrawlOverRealTCP(t *testing.T) {
@@ -22,7 +22,10 @@ func TestCrawlOverRealTCP(t *testing.T) {
 
 	cfg := Config{Days: 1, Refreshes: 1, Parallelism: 4, Seed: 9}
 	c := New(u, list, web, cfg)
-	c.Transport = func() http.RoundTripper { return srv.TCPClient().Transport }
+	// One pooled transport serves every visit; it keeps connections, not
+	// state that changes responses.
+	tcp := srv.TCPClient().Transport
+	c.Transport = func() http.RoundTripper { return tcp }
 
 	sites := web.TopSlice(10)
 	corp, st := c.Run(sites)

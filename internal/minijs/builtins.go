@@ -450,10 +450,19 @@ func thisArray(this Value) *Object {
 	return nil
 }
 
+// mutableArray is thisArray for the mutating methods: writes to a frozen
+// (shared) array are silently dropped, as property writes are.
+func mutableArray(this Value) *Object {
+	if a := thisArray(this); a != nil && !a.frozen {
+		return a
+	}
+	return nil
+}
+
 // arrayMethods are the shared array methods (receiver via this).
 var arrayMethods = map[string]*Object{
 	"push": newFrozenNative("push", func(_ *Interp, this Value, args []Value) (Value, error) {
-		a := thisArray(this)
+		a := mutableArray(this)
 		if a == nil {
 			return Undefined(), nil
 		}
@@ -461,7 +470,7 @@ var arrayMethods = map[string]*Object{
 		return Num(float64(len(a.Elems))), nil
 	}),
 	"pop": newFrozenNative("pop", func(_ *Interp, this Value, _ []Value) (Value, error) {
-		a := thisArray(this)
+		a := mutableArray(this)
 		if a == nil || len(a.Elems) == 0 {
 			return Undefined(), nil
 		}
@@ -470,7 +479,7 @@ var arrayMethods = map[string]*Object{
 		return v, nil
 	}),
 	"shift": newFrozenNative("shift", func(_ *Interp, this Value, _ []Value) (Value, error) {
-		a := thisArray(this)
+		a := mutableArray(this)
 		if a == nil || len(a.Elems) == 0 {
 			return Undefined(), nil
 		}
@@ -479,7 +488,7 @@ var arrayMethods = map[string]*Object{
 		return v, nil
 	}),
 	"unshift": newFrozenNative("unshift", func(_ *Interp, this Value, args []Value) (Value, error) {
-		a := thisArray(this)
+		a := mutableArray(this)
 		if a == nil {
 			return Undefined(), nil
 		}
@@ -511,7 +520,7 @@ var arrayMethods = map[string]*Object{
 		return Str(strings.Join(parts, sep)), nil
 	}),
 	"reverse": newFrozenNative("reverse", func(_ *Interp, this Value, _ []Value) (Value, error) {
-		a := thisArray(this)
+		a := mutableArray(this)
 		if a == nil {
 			return Undefined(), nil
 		}

@@ -434,6 +434,9 @@ func (in *Interp) setIndexValue(objV, idxV, val Value, line int) error {
 	}
 	if obj.IsArray {
 		if idx, ok := arrayIndex(idxV); ok && idx >= 0 {
+			if obj.frozen {
+				return nil
+			}
 			if idx >= maxArrayLen {
 				return throwStr("RangeError: invalid array length", line)
 			}

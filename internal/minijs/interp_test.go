@@ -681,3 +681,22 @@ func TestStringInterningSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestFrozenArrayDropsWrites: a frozen array is shared across interpreters
+// (the browser's navigator.plugins), so scripts read it but every write —
+// an index store or a mutating method — is dropped.
+func TestFrozenArrayDropsWrites(t *testing.T) {
+	for _, in := range []*Interp{New(), NewReference()} {
+		shared := NewArray(Num(1), Num(2))
+		shared.Freeze()
+		in.Global.Define("shared", shared.Value())
+		v, err := in.Run(`shared.push(3); shared.pop(); shared.shift(); shared.unshift(0);
+			shared.reverse(); shared[0] = 9; shared[5] = 9; shared.join(",") + "/" + shared.length`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ToString(v); got != "1,2/2" {
+			t.Fatalf("frozen array after writes = %q, want 1,2/2", got)
+		}
+	}
+}

@@ -94,6 +94,17 @@ type Counters struct {
 	BreakerShortCircuits int64 // requests rejected by an open breaker
 }
 
+// Add sums o into c. It is for folding finished snapshots; it does not
+// synchronize with transports still counting into c.
+func (c *Counters) Add(o Counters) {
+	c.Attempts += o.Attempts
+	c.Retries += o.Retries
+	c.Timeouts += o.Timeouts
+	c.Truncations += o.Truncations
+	c.BreakerOpens += o.BreakerOpens
+	c.BreakerShortCircuits += o.BreakerShortCircuits
+}
+
 // discardCounters absorbs events for transports built without counters.
 var discardCounters Counters
 
@@ -141,7 +152,7 @@ type hostBreaker struct {
 //
 // A BreakerSet is safe for concurrent use, but determinism of *when* it
 // trips requires that each instance see a deterministic request sequence —
-// the crawler gives each worker its own set.
+// the crawler gives each visit its own set.
 type BreakerSet struct {
 	// Threshold is the consecutive-failure count that opens a circuit
 	// (minimum 1; default 5).

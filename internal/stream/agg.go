@@ -7,11 +7,9 @@ import (
 	"strings"
 	"sync"
 
-	"madave/internal/corpus"
 	"madave/internal/crawler"
 	"madave/internal/oracle"
 	"madave/internal/stats"
-	"madave/internal/urlx"
 )
 
 // AdRecord is the journaled form of one harvested, classified ad.
@@ -45,7 +43,7 @@ func NewAdRecord(ha crawler.HarvestedAd, inc oracle.Incident) AdRecord {
 	rec := AdRecord{
 		Hash:      ha.Ad.Hash,
 		Category:  string(inc.Category),
-		Network:   servingNetwork(ha.Ad),
+		Network:   ha.Ad.ServingNetwork(),
 		ChainLen:  len(ha.Ad.Chain),
 		Day:       ha.Ad.Day,
 		Sandboxed: ha.Sandboxed,
@@ -60,16 +58,6 @@ func NewAdRecord(ha crawler.HarvestedAd, inc oracle.Incident) AdRecord {
 		}
 	}
 	return rec
-}
-
-// servingNetwork mirrors the analysis package's attribution: the last
-// arbitration hop served the ad; a chainless ad is attributed to its final
-// URL's host.
-func servingNetwork(ad *corpus.Ad) string {
-	if len(ad.Chain) == 0 {
-		return urlx.Host(ad.FinalURL)
-	}
-	return ad.Chain[len(ad.Chain)-1]
 }
 
 // VisitRecord is one journal entry: the complete, classified observation of
